@@ -122,7 +122,7 @@ def _fit_matrix(ds, trees, seed, kind, ndim, threads) -> CondensedMatrix:
         seed=seed,
         model_kind=kind,
     )
-    forest = fit_forest(ds, params, threads=threads)
+    forest = fit_forest(ds, params)
     return separation_matrix(forest, ds, threads=threads)
 
 

@@ -109,7 +109,7 @@ def _depth_stats(node, depth=0, acc=None):
 
 def cmd_fit(args) -> int:
     ds = _load_input(args)
-    forest = fit_forest(ds, _make_params(args), threads=args.threads)
+    forest = fit_forest(ds, _make_params(args))
     save_model(forest, args.output)
     leaf_depths = np.concatenate([_depth_stats(t) for t in forest.trees])
     print(
@@ -125,7 +125,7 @@ def cmd_fit(args) -> int:
 def _fit_or_load(args):
     if args.fit_predict:
         ds = _load_input(args)
-        return fit_forest(ds, _make_params(args), threads=args.threads), ds
+        return fit_forest(ds, _make_params(args)), ds
     if not args.model_file:
         raise FitError("either --model-file or --fit-predict is required")
     return load_model(args.model_file), _load_input(args)

@@ -42,6 +42,15 @@ class Column:
             # NaN cells are indistinguishable from missing; fold them in.
             self.missing = self.missing | np.isnan(self.values)
             self.values = np.where(self.missing, 0.0, self.values)
+            # An infinite cell would make the column's range, and so every
+            # threshold draw on it, degenerate.
+            bad = np.flatnonzero(np.isinf(self.values))
+            if len(bad):
+                i = bad[0]
+                raise DataError(
+                    f"row {i}: non-finite value {float(self.values[i])!r} "
+                    "in a numeric column"
+                )
         else:
             self.values = self.values.astype(np.int64, copy=False)
             if self.labels is None:
@@ -203,7 +212,10 @@ def load_csv(
                             f"{path}: row {ri}, column {name!r}: "
                             f"cannot parse {c!r} as numeric"
                         ) from None
-            columns.append(Column("numeric", vals, miss))
+            try:
+                columns.append(Column("numeric", vals, miss))
+            except DataError as exc:
+                raise DataError(f"{path}: column {name!r}: {exc}") from None
         else:
             labels: list[str] = []
             index: dict[str, int] = {}

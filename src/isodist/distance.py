@@ -24,99 +24,33 @@ import numpy as np
 
 from . import depth as depth_math
 from .data import Dataset, deduplicate
-from .forest import (
-    WEIGHT_FLOOR,
-    FitError,
-    Forest,
-    HyperplaneSplit,
-    NumericSplit,
-    Terminal,
-    remap_dataset,
-)
+from .forest import FitError, Forest, Terminal, remap_dataset, route
 from .matrix import CondensedMatrix
 
 
-def _route_single(node, ds, idx, w):
-    """Split (idx, w) into left/right row sets per a single-variable node.
-
-    Missing values and unseen categories appear on BOTH sides with weights
-    scaled by b_l / (1 - b_l); copies below the weight floor are dropped.
-    """
-    col = ds.columns[node.var]
-    vals = col.values[idx]
-    known = ~col.missing[idx]
-    if isinstance(node, NumericSplit):
-        left = known & (vals <= node.threshold)
-        right = known & ~left
-    else:
-        in_domain = known & (vals >= 0) & (vals < len(node.present))
-        seen = np.zeros(len(idx), dtype=bool)
-        seen[in_domain] = node.present[vals[in_domain]]
-        in_left = np.zeros(len(idx), dtype=bool)
-        in_left[in_domain] = node.left_set[vals[in_domain]]
-        left = seen & in_left
-        right = seen & ~in_left
-        known = seen
-    both = ~known
-    b = node.left_fraction
-    idx_l = np.concatenate([idx[left], idx[both]])
-    w_l = np.concatenate([w[left], b * w[both]])
-    idx_r = np.concatenate([idx[right], idx[both]])
-    w_r = np.concatenate([w[right], (1.0 - b) * w[both]])
-    keep_l = w_l >= WEIGHT_FLOOR
-    keep_r = w_r >= WEIGHT_FLOOR
-    return idx_l[keep_l], w_l[keep_l], idx_r[keep_r], w_r[keep_r]
+def _walk(forest: Forest, tree, ds: Dataset, min_rows: int):
+    """Pre-order, left-first walk of `tree` yielding (node, idx, w, depth)
+    for every node that at least `min_rows` of the rows of `ds` reach.
+    Rows start with weight 1; hyperplane trees carry no weights (w None)."""
+    w = np.ones(ds.n_rows) if forest.params.model_kind == "single" else None
+    stack = [(tree, np.arange(ds.n_rows), w, 0)]
+    while stack:
+        node, idx, w, depth = stack.pop()
+        if len(idx) < min_rows:
+            continue
+        yield node, idx, w, depth
+        if not isinstance(node, Terminal):
+            idx_l, w_l, idx_r, w_r = route(node, ds, idx, w)
+            stack.append((node.right, idx_r, w_r, depth + 1))
+            stack.append((node.left, idx_l, w_l, depth + 1))
 
 
-def _project_extended(node: HyperplaneSplit, ds, idx):
-    """Recompute the hyperplane projection for rows `idx`; unknown cells
-    (missing, or categories without a stored coefficient) contribute the
-    stored imputation value."""
-    y = np.zeros(len(idx))
-    for var, coef, r in zip(node.num_vars, node.num_coefs, node.num_imputes):
-        col = ds.columns[var]
-        vals = col.values[idx]
-        known = ~col.missing[idx]
-        y += np.where(known, coef * vals, r)
-    for var, coefs, r in zip(node.cat_vars, node.cat_coefs, node.cat_imputes):
-        col = ds.columns[var]
-        vals = col.values[idx]
-        in_domain = ~col.missing[idx] & (vals >= 0) & (vals < len(coefs))
-        contrib = np.full(len(idx), r)
-        picked = coefs[vals[in_domain]]
-        contrib[in_domain] = np.where(np.isnan(picked), r, picked)
-        y += contrib
-    return y
-
-
-def _route_extended(node, ds, idx):
-    y = _project_extended(node, ds, idx)
-    left = y <= node.threshold
-    return idx[left], idx[~left]
-
-
-def _acc_depths_single(node, ds, idx, w, D):
-    if len(idx) < 2:
-        return
-    if isinstance(node, Terminal):
-        D[np.ix_(idx, idx)] += 3.0 * np.outer(w, w)
-        return
-    D[np.ix_(idx, idx)] += np.outer(w, w)
-    idx_l, w_l, idx_r, w_r = _route_single(node, ds, idx, w)
-    _acc_depths_single(node.left, ds, idx_l, w_l, D)
-    _acc_depths_single(node.right, ds, idx_r, w_r, D)
-
-
-def _acc_depths_extended(node, ds, idx, D):
-    if len(idx) < 2:
-        return
-    if isinstance(node, Terminal):
-        D[np.ix_(idx, idx)] += 3.0
-        return
-    D[np.ix_(idx, idx)] += 1.0
-    idx_l, idx_r = _route_extended(node, ds, idx)
-    _acc_depths_extended(node.left, ds, idx_l, D)
-    _acc_depths_extended(node.right, ds, idx_r, D)
+def _acc_depths(forest: Forest, tree, ds: Dataset, D):
+    """Add one tree's pair depth sums into D: w_i*w_j for every shared node,
+    3*w_i*w_j for a shared terminal."""
+    for node, idx, w, _ in _walk(forest, tree, ds, 2):
+        cell = 1.0 if w is None else np.outer(w, w)
+        D[np.ix_(idx, idx)] += 3.0 * cell if isinstance(node, Terminal) else cell
 
 
 def tree_depth_sums(forest: Forest, tree, ds: Dataset) -> np.ndarray:
@@ -126,28 +60,18 @@ def tree_depth_sums(forest: Forest, tree, ds: Dataset) -> np.ndarray:
     (no deduplication), each with initial weight 1.
     """
     ds = remap_dataset(forest, ds)
-    n = ds.n_rows
-    D = np.zeros((n, n))
-    idx = np.arange(n)
-    if forest.params.model_kind == "single":
-        _acc_depths_single(tree, ds, idx, np.ones(n), D)
-    else:
-        _acc_depths_extended(tree, ds, idx, D)
+    D = np.zeros((ds.n_rows, ds.n_rows))
+    _acc_depths(forest, tree, ds, D)
     return D
 
 
 def _depth_sum_matrix(forest: Forest, ds: Dataset, threads: int = 1) -> np.ndarray:
     n = ds.n_rows
-    idx = np.arange(n)
-    single = forest.params.model_kind == "single"
 
     def run(trees):
         D = np.zeros((n, n))
         for tree in trees:
-            if single:
-                _acc_depths_single(tree, ds, idx, np.ones(n), D)
-            else:
-                _acc_depths_extended(tree, ds, idx, D)
+            _acc_depths(forest, tree, ds, D)
         return D
 
     if threads <= 1:
@@ -193,30 +117,6 @@ def pair_distance(forest: Forest, ds: Dataset, i: int, j: int) -> float:
     return separation_matrix(forest, sub)[0, 1]
 
 
-def _acc_iso_single(node, ds, idx, w, depth, out):
-    if len(idx) == 0:
-        return
-    if isinstance(node, Terminal):
-        n_eff = max(1, int(round(node.size)))
-        np.add.at(out, idx, w * (depth + depth_math.expected_isolation(n_eff)))
-        return
-    idx_l, w_l, idx_r, w_r = _route_single(node, ds, idx, w)
-    _acc_iso_single(node.left, ds, idx_l, w_l, depth + 1, out)
-    _acc_iso_single(node.right, ds, idx_r, w_r, depth + 1, out)
-
-
-def _acc_iso_extended(node, ds, idx, depth, out):
-    if len(idx) == 0:
-        return
-    if isinstance(node, Terminal):
-        n_eff = max(1, int(round(node.size)))
-        out[idx] += depth + depth_math.expected_isolation(n_eff)
-        return
-    idx_l, idx_r = _route_extended(node, ds, idx)
-    _acc_iso_extended(node.left, ds, idx_l, depth + 1, out)
-    _acc_iso_extended(node.right, ds, idx_r, depth + 1, out)
-
-
 def anomaly_scores(forest: Forest, ds: Dataset) -> np.ndarray:
     """Standardized outlier score per row, in (0, 1]; higher = more anomalous.
 
@@ -225,14 +125,13 @@ def anomaly_scores(forest: Forest, ds: Dataset) -> np.ndarray:
     standardized against the expectation for the fitted subsample size.
     """
     ds = remap_dataset(forest, ds)
-    n = ds.n_rows
-    depths = np.zeros(n)
-    idx = np.arange(n)
-    single = forest.params.model_kind == "single"
+    depths = np.zeros(ds.n_rows)
     for tree in forest.trees:
-        if single:
-            _acc_iso_single(tree, ds, idx, np.ones(n), 0, depths)
-        else:
-            _acc_iso_extended(tree, ds, idx, 0, depths)
+        for node, idx, w, depth in _walk(forest, tree, ds, 1):
+            if isinstance(node, Terminal):
+                # A row reaches a node at most once, so no np.add.at.
+                n_eff = max(1, int(round(node.size)))
+                h = depth + depth_math.expected_isolation(n_eff)
+                depths[idx] += h if w is None else w * h
     avg = depths / len(forest.trees)
     return depth_math.standardize_isolation(avg, max(2, forest.n_sub))

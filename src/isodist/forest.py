@@ -13,15 +13,16 @@ Two tree families:
   Normal(0,1) coefficient, and missing cells contribute the median of the
   observed contributions, so every row routes deterministically.
 
-Trees are grown independently with per-tree RNG streams spawned from
-(seed, tree index), so fitting is reproducible regardless of how many
-workers run and parallelizable across trees.
+Each tree grows from its own RNG stream spawned from (seed, tree index),
+so a tree does not depend on the trees grown before it.  How rows go down
+a node is written once, in `_sides` and `_split`: fitting uses them, and so
+does `route`, which prediction walks.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,29 +149,102 @@ def _pick_var(ds: Dataset, idx: np.ndarray, rng):
 
 
 def _draw_threshold(rng, lo: float, hi: float) -> float | None:
-    """Uniform draw strictly below `hi` (so both branches are non-empty)."""
+    """Uniform draw strictly below `hi` (so both branches are non-empty).
+
+    When `hi - lo` overflows (endpoints near +-1.8e308) the draw is made
+    in halved space; halving such large values is exact.
+    """
+    finite = math.isfinite(hi - lo)
     for _ in range(MAX_REDRAWS):
-        z = lo + rng.random() * (hi - lo)
+        u = rng.random()
+        if finite:
+            z = lo + u * (hi - lo)
+        else:
+            z = 2.0 * (lo / 2.0 + u * (hi / 2.0 - lo / 2.0))
         if lo <= z < hi:
             return z
     return None
 
 
-def _grow_single(ds, idx, w, depth, rng, max_depth):
-    if len(idx) <= 1 or (max_depth is not None and depth >= max_depth):
-        return Terminal(size=float(w.sum()))
+def _sides(node, vals, known):
+    """Masks of the rows a single-variable node sends left and right, given
+    the rows' values and known-mask in its column.  Rows in neither mask
+    (missing, or a category the node never saw) go down both branches."""
+    if isinstance(node, NumericSplit):
+        left = known & (vals <= node.threshold)
+        return left, known & ~left
+    in_domain = known & (vals >= 0) & (vals < len(node.present))
+    codes = vals[in_domain]
+    left = np.zeros(len(vals), dtype=bool)
+    right = np.zeros(len(vals), dtype=bool)
+    left[in_domain] = node.present[codes] & node.left_set[codes]
+    right[in_domain] = node.present[codes] & ~node.left_set[codes]
+    return left, right
+
+
+def _split(idx, w, left, right, b):
+    """Rows (idx, w) into (idx_l, w_l, idx_r, w_r) by the `left`/`right` masks.
+
+    Rows in neither mask appear on BOTH sides with weights scaled by b and
+    1 - b; copies below the weight floor are dropped.  Unweighted rows
+    (w None, hyperplane splits) always lie in exactly one mask.
+    """
+    if w is None:
+        return idx[left], None, idx[right], None
+    both = ~(left | right)
+    idx_l = np.concatenate([idx[left], idx[both]])
+    w_l = np.concatenate([w[left], b * w[both]])
+    idx_r = np.concatenate([idx[right], idx[both]])
+    w_r = np.concatenate([w[right], (1.0 - b) * w[both]])
+    keep_l = w_l >= WEIGHT_FLOOR
+    keep_r = w_r >= WEIGHT_FLOOR
+    return idx_l[keep_l], w_l[keep_l], idx_r[keep_r], w_r[keep_r]
+
+
+def _project_extended(node: HyperplaneSplit, ds, idx):
+    """Recompute the hyperplane projection for rows `idx`; unknown cells
+    (missing, or categories without a stored coefficient) contribute the
+    stored imputation value."""
+    y = np.zeros(len(idx))
+    for var, coef, r in zip(node.num_vars, node.num_coefs, node.num_imputes):
+        col = ds.columns[var]
+        vals = col.values[idx]
+        known = ~col.missing[idx]
+        y += np.where(known, coef * vals, r)
+    for var, coefs, r in zip(node.cat_vars, node.cat_coefs, node.cat_imputes):
+        col = ds.columns[var]
+        vals = col.values[idx]
+        in_domain = ~col.missing[idx] & (vals >= 0) & (vals < len(coefs))
+        contrib = np.full(len(idx), r)
+        picked = coefs[vals[in_domain]]
+        contrib[in_domain] = np.where(np.isnan(picked), r, picked)
+        y += contrib
+    return y
+
+
+def route(node, ds: Dataset, idx: np.ndarray, w):
+    """Rows (idx, w) that split `node` sends left and right, as
+    (idx_l, w_l, idx_r, w_r).  Weights are None for hyperplane nodes."""
+    if isinstance(node, HyperplaneSplit):
+        left = _project_extended(node, ds, idx) <= node.threshold
+        return _split(idx, None, left, ~left, None)
+    col = ds.columns[node.var]
+    left, right = _sides(node, col.values[idx], ~col.missing[idx])
+    return _split(idx, w, left, right, node.left_fraction)
+
+
+def _draw_single(ds, idx, w, rng):
+    """Random single-variable split of rows (idx, w) and the rows it sends
+    each way (see `_split`), or None when no split can be drawn."""
     var, vals, known = _pick_var(ds, idx, rng)
     if var is None:
-        return Terminal(size=float(w.sum()))
+        return None
     col = ds.columns[var]
-
     if col.kind == "numeric":
         kv = vals[known]
         z = _draw_threshold(rng, float(kv.min()), float(kv.max()))
         if z is None:
-            return Terminal(size=float(w.sum()))
-        go_left = known & (vals <= z)
-        go_right = known & (vals > z)
+            return None
         node = NumericSplit(var=var, threshold=z, left_fraction=0.0)
     else:
         present_codes = np.unique(vals[known])
@@ -181,40 +255,27 @@ def _grow_single(ds, idx, w, depth, rng, max_depth):
                 subset = present_codes[coin]
                 break
         if subset is None:
-            return Terminal(size=float(w.sum()))
+            return None
         present = np.zeros(len(col.labels), dtype=bool)
         present[present_codes] = True
         left_set = np.zeros(len(col.labels), dtype=bool)
         left_set[subset] = True
-        go_left = known & left_set[np.maximum(vals, 0)] & (vals >= 0)
-        go_right = known & ~go_left
         node = CategoricalSplit(
             var=var, left_set=left_set, present=present, left_fraction=0.0
         )
-
-    wl = float(w[go_left].sum())
-    wr = float(w[go_right].sum())
-    b_l = wl / (wl + wr)
-    node.left_fraction = b_l
-    unknown = ~known
-
-    idx_l = np.concatenate([idx[go_left], idx[unknown]])
-    w_l = np.concatenate([w[go_left], b_l * w[unknown]])
-    idx_r = np.concatenate([idx[go_right], idx[unknown]])
-    w_r = np.concatenate([w[go_right], (1.0 - b_l) * w[unknown]])
-    keep_l = w_l >= WEIGHT_FLOOR
-    keep_r = w_r >= WEIGHT_FLOOR
-    node.left = _grow_single(ds, idx_l[keep_l], w_l[keep_l], depth + 1, rng, max_depth)
-    node.right = _grow_single(ds, idx_r[keep_r], w_r[keep_r], depth + 1, rng, max_depth)
-    return node
+    left, right = _sides(node, vals, known)
+    wl = float(w[left].sum())
+    wr = float(w[right].sum())
+    node.left_fraction = wl / (wl + wr)
+    return node, _split(idx, w, left, right, node.left_fraction)
 
 
-def _grow_extended(ds, idx, depth, rng, max_depth, ndim):
-    if len(idx) <= 1 or (max_depth is not None and depth >= max_depth):
-        return Terminal(size=float(len(idx)))
+def _draw_extended(ds, idx, rng, ndim):
+    """Random hyperplane split of rows `idx` and the rows it sends each way
+    (see `_split`), or None when no split can be drawn."""
     eligible = _eligible_vars(ds, idx)
     if not eligible:
-        return Terminal(size=float(len(idx)))
+        return None
     k = min(ndim, len(eligible))
     chosen = sorted(rng.choice(np.array(eligible), size=k, replace=False).tolist())
 
@@ -249,15 +310,30 @@ def _grow_extended(ds, idx, depth, rng, max_depth, ndim):
 
     lo, hi = float(y.min()), float(y.max())
     if lo == hi:
-        return Terminal(size=float(len(idx)))
+        return None
     q = _draw_threshold(rng, lo, hi)
     if q is None:
-        return Terminal(size=float(len(idx)))
+        return None
     node.threshold = q
-    go_left = y <= q
-    node.left = _grow_extended(ds, idx[go_left], depth + 1, rng, max_depth, ndim)
-    node.right = _grow_extended(ds, idx[~go_left], depth + 1, rng, max_depth, ndim)
-    return node
+    # Route by the projection drawn here, not a recomputed one, so the
+    # terminal sizes match the rows the fit actually saw.
+    left = y <= q
+    return node, _split(idx, None, left, ~left, None)
+
+
+def _grow(ds, idx, w, depth, rng, params: ForestParams):
+    """Grow a subtree on rows (idx, w); w is None for the extended model."""
+    if len(idx) > 1 and (params.max_depth is None or depth < params.max_depth):
+        if w is None:
+            drawn = _draw_extended(ds, idx, rng, params.ndim)
+        else:
+            drawn = _draw_single(ds, idx, w, rng)
+        if drawn is not None:
+            node, (idx_l, w_l, idx_r, w_r) = drawn
+            node.left = _grow(ds, idx_l, w_l, depth + 1, rng, params)
+            node.right = _grow(ds, idx_r, w_r, depth + 1, rng, params)
+            return node
+    return Terminal(size=float(len(idx) if w is None else w.sum()))
 
 
 def _tree_rng(seed: int, tree_index: int):
@@ -272,15 +348,18 @@ def _grow_one(ds: Dataset, params: ForestParams, n_sub: int, tree_index: int):
         idx = rng.choice(n, size=n_sub, replace=False, p=p)
     else:
         idx = np.arange(n)
-    if params.model_kind == "single":
-        w = np.ones(len(idx))
-        return _grow_single(ds, idx, w, 0, rng, params.max_depth)
-    return _grow_extended(ds, idx, 0, rng, params.max_depth, params.ndim)
+    w = np.ones(len(idx)) if params.model_kind == "single" else None
+    return _grow(ds, idx, w, 0, rng, params)
 
 
 def fit_forest(ds: Dataset, params: ForestParams, threads: int = 1) -> Forest:
     """Grow `params.n_trees` trees on (weighted, without-replacement)
-    subsamples of `ds`.  Deterministic in (ds, params, seed)."""
+    subsamples of `ds`.  Deterministic in (ds, params, seed).
+
+    `threads` has no effect and is accepted for backward compatibility:
+    trees grow one after another, since per-node Python work holds the
+    interpreter lock and a thread pool measured no faster.
+    """
     if ds.n_rows < 2:
         raise FitError("need at least 2 rows to fit")
     if not _eligible_vars(ds, np.arange(ds.n_rows)):
@@ -289,16 +368,7 @@ def fit_forest(ds: Dataset, params: ForestParams, threads: int = 1) -> Forest:
     if n_sub < 2:
         raise FitError("subsample size must be >= 2")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(
-                pool.map(
-                    lambda k: _grow_one(ds, params, n_sub, k), range(params.n_trees)
-                )
-            )
-    else:
-        trees = [_grow_one(ds, params, n_sub, k) for k in range(params.n_trees)]
-
+    trees = [_grow_one(ds, params, n_sub, k) for k in range(params.n_trees)]
     schema = [
         {"name": name, "kind": c.kind, "labels": c.labels}
         for name, c in zip(ds.names, ds.columns)
@@ -388,18 +458,42 @@ def _node_to_json(node):
     raise TypeError(f"unknown node type {type(node)!r}")
 
 
-def _node_from_json(obj):
+# Node types each model kind may contain.
+NODE_TYPES = {"single": ("terminal", "num", "cat"), "extended": ("terminal", "hyp")}
+
+
+def _schema_var(schema, var, kind, n_labels=None):
+    """`var` as an int, checked to index a `kind` column of `schema` that
+    has `n_labels` labels (categorical columns)."""
+    var = int(var)
+    if not 0 <= var < len(schema):
+        raise ModelFormatError(f"variable {var} outside a {len(schema)}-column schema")
+    spec = schema[var]
+    if spec["kind"] != kind:
+        raise ModelFormatError(f"{kind} split on {spec['kind']} column {var}")
+    if n_labels is not None and int(n_labels) != len(spec["labels"]):
+        raise ModelFormatError(
+            f"split expects {n_labels} labels, column {var} has {len(spec['labels'])}"
+        )
+    return var
+
+
+def _node_from_json(obj, schema, model_kind):
     try:
         kind = obj["type"]
+        if kind not in NODE_TYPES[model_kind]:
+            raise ModelFormatError(f"node type {kind!r} in a {model_kind} model")
         if kind == "terminal":
             return Terminal(size=float(obj["size"]))
+        left = _node_from_json(obj["left"], schema, model_kind)
+        right = _node_from_json(obj["right"], schema, model_kind)
         if kind == "num":
             return NumericSplit(
-                var=int(obj["var"]),
+                var=_schema_var(schema, obj["var"], "numeric"),
                 threshold=float(obj["threshold"]),
                 left_fraction=float(obj["bl"]),
-                left=_node_from_json(obj["left"]),
-                right=_node_from_json(obj["right"]),
+                left=left,
+                right=right,
             )
         if kind == "cat":
             size = int(obj["n_labels"])
@@ -408,33 +502,39 @@ def _node_from_json(obj):
             present = np.zeros(size, dtype=bool)
             present[obj["present"]] = True
             return CategoricalSplit(
-                var=int(obj["var"]),
+                var=_schema_var(schema, obj["var"], "categorical", size),
                 left_set=left_set,
                 present=present,
                 left_fraction=float(obj["bl"]),
-                left=_node_from_json(obj["left"]),
-                right=_node_from_json(obj["right"]),
+                left=left,
+                right=right,
             )
-        if kind == "hyp":
-            coefs = []
-            for cmap, size in zip(obj["cat_coefs"], obj["cat_sizes"]):
-                arr = np.full(int(size), np.nan)
-                for code, val in cmap.items():
-                    arr[int(code)] = float(val)
-                coefs.append(arr)
-            return HyperplaneSplit(
-                num_vars=[int(v) for v in obj["num_vars"]],
-                num_coefs=[float(v) for v in obj["num_coefs"]],
-                num_imputes=[float(v) for v in obj["num_imputes"]],
-                cat_vars=[int(v) for v in obj["cat_vars"]],
-                cat_coefs=coefs,
-                cat_imputes=[float(v) for v in obj["cat_imputes"]],
-                threshold=float(obj["threshold"]),
-                left=_node_from_json(obj["left"]),
-                right=_node_from_json(obj["right"]),
-            )
-        raise ModelFormatError(f"unknown node type {kind!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+        num_keys = ("num_vars", "num_coefs", "num_imputes")
+        cat_keys = ("cat_vars", "cat_coefs", "cat_sizes", "cat_imputes")
+        for keys in (num_keys, cat_keys):
+            if len({len(obj[k]) for k in keys}) != 1:
+                raise ModelFormatError(f"hyperplane lists {keys} differ in length")
+        coefs = []
+        for cmap, size in zip(obj["cat_coefs"], obj["cat_sizes"]):
+            arr = np.full(int(size), np.nan)
+            for code, val in cmap.items():
+                arr[int(code)] = float(val)
+            coefs.append(arr)
+        return HyperplaneSplit(
+            num_vars=[_schema_var(schema, v, "numeric") for v in obj["num_vars"]],
+            num_coefs=[float(v) for v in obj["num_coefs"]],
+            num_imputes=[float(v) for v in obj["num_imputes"]],
+            cat_vars=[
+                _schema_var(schema, v, "categorical", size)
+                for v, size in zip(obj["cat_vars"], obj["cat_sizes"])
+            ],
+            cat_coefs=coefs,
+            cat_imputes=[float(v) for v in obj["cat_imputes"]],
+            threshold=float(obj["threshold"]),
+            left=left,
+            right=right,
+        )
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         if isinstance(exc, ModelFormatError):
             raise
         raise ModelFormatError(f"malformed tree node: {exc}") from exc
@@ -480,10 +580,12 @@ def load_model(path) -> Forest:
             seed=int(p["seed"]),
             model_kind=p["model_kind"],
         )
-        trees = [_node_from_json(t) for t in doc["trees"]]
-        forest = Forest(
-            params=params, schema=doc["schema"], trees=trees, n_sub=int(doc["n_sub"])
-        )
+        schema = doc["schema"]
+        trees = [_node_from_json(t, schema, params.model_kind) for t in doc["trees"]]
+        n_sub = int(doc["n_sub"])
+        forest = Forest(params=params, schema=schema, trees=trees, n_sub=n_sub)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"{path}: malformed model document: {exc}") from exc
     if len(forest.trees) != params.n_trees:

@@ -1,6 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import isodist
 from isodist.cli import main
 from isodist.matrix import CondensedMatrix
 
@@ -152,6 +158,28 @@ def test_schema_mismatch_is_runtime_error(small_csv, tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in stderr
+
+
+def test_corrupt_model_is_runtime_error(small_csv, tmp_path, capsys):
+    # A split on a column the schema does not have fails at load with an
+    # error line, not with a traceback at traversal.
+    model = tmp_path / "model.json"
+    assert main(["fit", "--input", small_csv, "--trees", "3",
+                 "--output", str(model)]) == 0
+    capsys.readouterr()
+    doc = json.loads(model.read_text())
+    doc["trees"][0]["var"] = 7
+    model.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(isodist.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "isodist", "dist", "--input", small_csv,
+         "--model-file", str(model), "--output", str(tmp_path / "d.csv")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_token_flag(tmp_path, capsys):

@@ -68,6 +68,15 @@ def test_malformed_row_reports_index(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf"])
+def test_infinite_numeric_cell_rejected(tmp_path, cell):
+    path = make_csv(tmp_path, f"a,b\n1,x\n2,y\n{cell},z\n")
+    with pytest.raises(DataError, match="column 'a': row 2"):
+        load_csv(path)
+    with pytest.raises(DataError):
+        Column("numeric", np.array([1.0, float(cell)]), np.zeros(2, dtype=bool))
+
+
 def test_empty_file_rejected(tmp_path):
     path = make_csv(tmp_path, "")
     with pytest.raises(DataError):

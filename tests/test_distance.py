@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from isodist.data import Column, Dataset
+from isodist.depth import standardize_isolation
 from isodist.distance import (
     anomaly_scores,
     pair_distance,
@@ -9,6 +10,7 @@ from isodist.distance import (
     tree_depth_sums,
 )
 from isodist.forest import (
+    CategoricalSplit,
     FitError,
     Forest,
     ForestParams,
@@ -27,11 +29,29 @@ def numeric_dataset(arrays, missing=None):
     return Dataset(cols)
 
 
-def hand_forest(trees, n_sub=2):
-    """Forest wrapping hand-built trees over one numeric column."""
+def hand_forest(trees, n_sub=2, schema=None):
+    """Forest wrapping hand-built trees over one column (numeric by default)."""
     params = ForestParams(n_trees=len(trees), seed=0)
-    schema = [{"name": "x", "kind": "numeric", "labels": None}]
+    schema = schema or [{"name": "x", "kind": "numeric", "labels": None}]
     return Forest(params=params, schema=schema, trees=trees, n_sub=n_sub)
+
+
+def weighted_case(kind):
+    """A one-split tree with b_l = 0.25 over three rows: row 0 goes left,
+    row 1 right, and row 2 down both branches (missing cell, or a label the
+    model never saw).  Left terminal holds 1 point, right terminal 2."""
+    terminals = dict(left=Terminal(1.0), right=Terminal(2.0))
+    if kind == "numeric":
+        tree = NumericSplit(var=0, threshold=0.5, left_fraction=0.25, **terminals)
+        ds = numeric_dataset([[0.0, 1.0, 0.0]], missing=[[False, False, True]])
+        return hand_forest([tree]), ds
+    tree = CategoricalSplit(
+        var=0, left_set=np.array([True, False]), present=np.array([True, True]),
+        left_fraction=0.25, **terminals,
+    )
+    schema = [{"name": "x", "kind": "categorical", "labels": ["a", "b"]}]
+    col = Column("categorical", [0, 1, 2], np.zeros(3, dtype=bool), ["a", "b", "zebra"])
+    return hand_forest([tree], schema=schema), Dataset([col], ["x"])
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +100,25 @@ def test_separation_depth_counts_shared_nodes():
     ds = numeric_dataset([[0.0, 1.0]])
     D = tree_depth_sums(hand_forest([tree]), tree, ds)
     assert D[0, 1] == 2.0
+
+
+@pytest.mark.parametrize("kind", ["numeric", "categorical"])
+def test_both_branch_rows_carry_exact_weights(kind):
+    forest, ds = weighted_case(kind)
+    # Root: every pair once.  Left terminal: rows 0 and 2 (w 1, 0.25) add
+    # 3*w_i*w_j; right terminal: rows 1 and 2 (w 1, 0.75) likewise.
+    expected = np.array([
+        [4.0, 1.0, 1.75],
+        [1.0, 4.0, 3.25],
+        [1.75, 3.25, 1.0 + 3 * 0.0625 + 3 * 0.5625],
+    ])
+    assert np.array_equal(tree_depth_sums(forest, forest.trees[0], ds), expected)
+    # Isolation depth: 1 + E[isolation among 1] = 1 on the left, 1 + 1 = 2
+    # on the right, and 0.25*1 + 0.75*2 for the both-branch row.
+    depths = np.array([1.0, 2.0, 1.75])
+    assert np.array_equal(
+        anomaly_scores(forest, ds), standardize_isolation(depths, forest.n_sub)
+    )
 
 
 def test_output_range_and_symmetry(cloud, cloud_forest):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,11 @@ from isodist.forest import (
     ModelFormatError,
     NumericSplit,
     Terminal,
+    _draw_threshold,
     fit_forest,
     load_model,
     remap_dataset,
+    route,
     save_model,
 )
 
@@ -144,12 +148,11 @@ def test_routed_weight_conserved_per_node():
     miss = rng.random(100) < 0.2
     ds = numeric_dataset([vals, rng.standard_normal(100)], missing=[miss, miss[::-1]])
     forest = fit_forest(ds, ForestParams(n_trees=5, seed=4))
-    from isodist.distance import _route_single
 
     def check(node, idx, w):
         if isinstance(node, Terminal) or len(idx) == 0:
             return
-        il, wl, ir, wr = _route_single(node, ds, idx, w)
+        il, wl, ir, wr = route(node, ds, idx, w)
         # conservation up to the 1e-8 weight floor drops
         assert wl.sum() + wr.sum() == pytest.approx(w.sum(), abs=1e-6)
         check(node.left, il, wl)
@@ -161,8 +164,6 @@ def test_routed_weight_conserved_per_node():
 
 def test_terminal_rowsets_partition_subsample(normal_ds):
     # Fully observed data: each row lands in exactly one terminal.
-    from isodist.distance import _route_single
-
     forest = fit_forest(normal_ds, ForestParams(n_trees=3, seed=8))
     for tree in forest.trees:
         seen = []
@@ -171,12 +172,23 @@ def test_terminal_rowsets_partition_subsample(normal_ds):
             if isinstance(node, Terminal):
                 seen.extend(idx.tolist())
                 return
-            il, wl, ir, wr = _route_single(node, normal_ds, idx, w)
+            il, wl, ir, wr = route(node, normal_ds, idx, w)
             collect(node.left, il, wl)
             collect(node.right, ir, wr)
 
         collect(tree, np.arange(200), np.ones(200))
         assert sorted(seen) == list(range(200))
+
+
+def test_overflowing_range_still_splits():
+    # hi - lo overflows to inf; the threshold is drawn in halved space.
+    ds = numeric_dataset([[-1e308, -1.0, 0.0, 1.0, 1e308]])
+    forest = fit_forest(ds, ForestParams(n_trees=10, seed=0))
+    assert all(isinstance(tree, NumericSplit) for tree in forest.trees)
+    assert not np.all(separation_matrix(forest, ds).values == 0.5)
+    # A finite range keeps the plain formula, so fitted models do not change.
+    z = _draw_threshold(np.random.default_rng(3), -2.0, 5.0)
+    assert z == -2.0 + np.random.default_rng(3).random() * 7.0
 
 
 def test_affine_equivariant_structure(normal_ds):
@@ -272,6 +284,72 @@ def test_load_truncated_model_rejected(tmp_path, normal_ds):
 def test_load_wrong_version_rejected(tmp_path):
     path = tmp_path / "model.json"
     path.write_text('{"format_version": 99}')
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+def json_nodes(obj):
+    yield obj
+    if obj["type"] != "terminal":
+        yield from json_nodes(obj["left"])
+        yield from json_nodes(obj["right"])
+
+
+def first_node(doc, kind, pred=lambda node: True):
+    return next(
+        node
+        for tree in doc["trees"]
+        for node in json_nodes(tree)
+        if node["type"] == kind and pred(node)
+    )
+
+
+@pytest.fixture(scope="module")
+def model_docs(tmp_path_factory):
+    """Saved single and extended models over a numeric and a 4-label
+    categorical column, as parsed JSON documents."""
+    rng = np.random.default_rng(23)
+    n = 80
+    ds = Dataset(
+        [
+            Column("numeric", rng.standard_normal(n), rng.random(n) < 0.1),
+            Column("categorical", rng.integers(0, 4, size=n), np.zeros(n, bool),
+                   list("abcd")),
+        ]
+    )
+    docs = {}
+    for kind, ndim in (("single", 1), ("extended", 2)):
+        path = tmp_path_factory.mktemp(kind) / "model.json"
+        params = ForestParams(n_trees=4, seed=3, model_kind=kind, ndim=ndim)
+        save_model(fit_forest(ds, params), path)
+        docs[kind] = json.loads(path.read_text())
+    return docs
+
+
+MUTATIONS = {
+    "var outside schema": ("single", lambda d: first_node(d, "num").update(var=7)),
+    "numeric split on categorical column": (
+        "single", lambda d: first_node(d, "num").update(var=1)),
+    "label count differs from schema": (
+        "single", lambda d: first_node(d, "cat").update(n_labels=5)),
+    "node type not in model kind": (
+        "single", lambda d: d["params"].update(model_kind="extended")),
+    "hyperplane lists differ in length": (
+        "extended", lambda d: first_node(d, "hyp")["num_imputes"].append(0.5)),
+    "hyperplane label count differs from schema": (
+        "extended",
+        lambda d: first_node(d, "hyp", lambda n: n["cat_vars"])["cat_sizes"]
+        .__setitem__(0, 5)),
+}
+
+
+@pytest.mark.parametrize("mutation", list(MUTATIONS))
+def test_load_rejects_model_inconsistent_with_schema(tmp_path, model_docs, mutation):
+    kind, mutate = MUTATIONS[mutation]
+    doc = json.loads(json.dumps(model_docs[kind]))
+    mutate(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError):
         load_model(path)
 
