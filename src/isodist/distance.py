@@ -9,6 +9,28 @@ split never saw go down both branches with weights scaled by the stored
 left-branch proportion (single-variable trees) or contribute their stored
 median imputation to the hyperplane projection (extended trees).
 
+`separation_matrix` sums each tree's pair depths by one of two paths:
+
+* Trees that send every row one way at every node (all extended trees,
+  and single-variable trees on rows without missing cells or categories
+  a node never saw) take the leaf-order kernel.  Rows sorted into the
+  tree's pre-order leaf order make every node one contiguous block, so a
+  pair split at depth d gets d + 1 and a pair sharing a terminal at depth
+  d gets d + 3, written as about n block assignments into an int32
+  scratch and gathered into an int32 accumulator.
+* A tree that sends some row neither way (such a row needs both-branch
+  weights) is abandoned by the kernel's walk and accumulated with
+  weights, node by node, into a float64 accumulator (`_acc_depths`, which
+  `tree_depth_sums` also uses).
+
+Each worker thread holds an int32 n x n accumulator and two int32 n x n
+scratch blocks, plus a float64 n x n accumulator once one of its trees
+takes the weighted path, which also makes n x n float64 temporaries at
+nodes near the root.  Only the n(n-1)/2 upper cells become float64, at
+the end.  Before allocating, `separation_matrix` estimates the four
+per-worker arrays and the float64 result; if that exceeds the memory
+available to the process it raises `FitError` naming both byte counts.
+
 Depth sums are averaged over trees and squashed through
 2^(-(avg-1)/2), giving distances in (0, 1] with 0.5 the expected value
 for two random points.  Duplicated rows are collapsed before traversal
@@ -26,6 +48,14 @@ from . import depth as depth_math
 from .data import Dataset, deduplicate
 from .forest import FitError, Forest, Terminal, remap_dataset, route
 from .matrix import CondensedMatrix
+
+# A worker's int32 sums move into its float64 sums before the next tree
+# could take them past this value.
+INT32_MAX = int(np.iinfo(np.int32).max)
+
+# Bytes per n x n cell a worker thread may hold: int32 accumulator, two
+# int32 scratch blocks, float64 accumulator.
+WORKER_CELL_BYTES = 4 + 4 + 4 + 8
 
 
 def _walk(forest: Forest, tree, ds: Dataset, min_rows: int):
@@ -53,6 +83,126 @@ def _acc_depths(forest: Forest, tree, ds: Dataset, D):
         D[np.ix_(idx, idx)] += 3.0 * cell if isinstance(node, Terminal) else cell
 
 
+def _leaf_blocks(tree, ds: Dataset):
+    """The rows of `ds` in `tree`'s leaf order and the blocks of that order
+    that hold their pair depths, or None when some node sends a row
+    neither way (it would need both-branch weights).
+
+    Rows route unweighted, pre-order and left-first, so every node's rows
+    are one block of the order.  Returns (order, splits, terminals): a
+    split at depth d whose rows divide into [s, m) and [m, e) gives
+    (s, m, e, d + 1), and a terminal at depth d holding rows [s, e), at
+    least 2, gives (s, e, d + 3).  Unlike `_walk`, this needs each split's
+    children before it descends."""
+    order, splits, terminals = [], [], []
+    start = 0
+    stack = [(tree, np.arange(ds.n_rows), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        if len(idx) >= 2 and not isinstance(node, Terminal):
+            idx_l, _, idx_r, _ = route(node, ds, idx, None)
+            if len(idx_l) + len(idx_r) < len(idx):
+                return None
+            if len(idx_l) and len(idx_r):
+                splits.append((start, start + len(idx_l), start + len(idx), depth + 1))
+            stack.append((node.right, idx_r, depth + 1))
+            stack.append((node.left, idx_l, depth + 1))
+            continue
+        if len(idx) >= 2:
+            terminals.append((start, start + len(idx), depth + 3))
+        order.append(idx)
+        start += len(idx)
+    return np.concatenate(order), splits, terminals
+
+
+def _tree_sums(forest: Forest, trees, ds: Dataset):
+    """Pair depth sums of `trees` over the rows of `ds` as (counts, sums):
+    int32 sums of the trees the leaf-order kernel takes and float64 sums
+    of the others, each None until a tree needs it.  Off-diagonal cells
+    only are meaningful."""
+    n = ds.n_rows
+    counts = sums = None
+    bound = 0  # the largest value a cell of `counts` can hold
+    for tree in trees:
+        blocks = _leaf_blocks(tree, ds)
+        if blocks is None:
+            if sums is None:
+                sums = np.zeros((n, n))
+            _acc_depths(forest, tree, ds, sums)
+            continue
+        order, splits, terminals = blocks
+        if counts is None:
+            counts = np.zeros((n, n), dtype=np.int32)
+            leaf, scratch = np.empty_like(counts), np.empty_like(counts)
+        top = max(b[-1] for b in splits + terminals)
+        if bound + top > INT32_MAX:
+            if sums is None:
+                sums = np.zeros((n, n))
+            sums += counts
+            counts[:] = 0
+            bound = 0
+        bound += top
+        # Every off-diagonal cell of `leaf` is written once per tree.
+        for s, m, e, d in splits:
+            leaf[s:m, m:e] = d
+            leaf[m:e, s:m] = d
+        for s, e, d in terminals:
+            leaf[s:e, s:e] = d
+        inv = np.empty(n, dtype=np.intp)
+        inv[order] = np.arange(n)
+        np.take(leaf, inv, axis=0, out=scratch)
+        np.take(scratch, inv, axis=1, out=leaf)
+        counts += leaf
+    return counts, sums
+
+
+def _upper(a) -> np.ndarray:
+    """The condensed upper-triangle cells of square `a`, as float64."""
+    return np.concatenate([a[i, i + 1 :] for i in range(len(a) - 1)], dtype=np.float64)
+
+
+def _depth_sums(forest: Forest, ds: Dataset, threads: int) -> np.ndarray:
+    """Condensed pair depth sums over all trees; `threads` workers each
+    take every threads-th tree."""
+    if threads <= 1:
+        parts = [_tree_sums(forest, forest.trees, ds)]
+    else:
+        chunks = [forest.trees[i::threads] for i in range(threads)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(lambda trees: _tree_sums(forest, trees, ds), chunks))
+    # Float sums first, in worker order: a forest without kernel trees then
+    # adds exactly as the node-by-node accumulation always has.
+    arrays = [s for _, s in parts if s is not None] + [c for c, _ in parts if c is not None]
+    total = _upper(arrays[0])
+    for a in arrays[1:]:
+        total += _upper(a)
+    return total
+
+
+def _available_bytes() -> int | None:
+    """Memory this process can still allocate: MemAvailable, capped by a
+    cgroup memory limit less its usage; None when neither can be read."""
+    found = []
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    found.append(int(line.split()[1]) * 1024)
+    except (OSError, ValueError):
+        pass
+    for limit, usage in (
+        ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current"),
+        ("/sys/fs/cgroup/memory/memory.limit_in_bytes",
+         "/sys/fs/cgroup/memory/memory.usage_in_bytes"),
+    ):
+        try:
+            with open(limit) as lim, open(usage) as use:
+                found.append(int(lim.read()) - int(use.read()))
+        except (OSError, ValueError):  # absent, or "max" (no limit)
+            pass
+    return min(found) if found else None
+
+
 def tree_depth_sums(forest: Forest, tree, ds: Dataset) -> np.ndarray:
     """Raw pair separation-depth sums for one tree (square array).
 
@@ -65,31 +215,12 @@ def tree_depth_sums(forest: Forest, tree, ds: Dataset) -> np.ndarray:
     return D
 
 
-def _depth_sum_matrix(forest: Forest, ds: Dataset, threads: int = 1) -> np.ndarray:
-    n = ds.n_rows
-
-    def run(trees):
-        D = np.zeros((n, n))
-        for tree in trees:
-            _acc_depths(forest, tree, ds, D)
-        return D
-
-    if threads <= 1:
-        return run(forest.trees)
-    chunks = [forest.trees[i::threads] for i in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(run, chunks))
-    total = parts[0]
-    for p in parts[1:]:
-        total += p
-    return total
-
-
 def separation_matrix(forest: Forest, ds: Dataset, threads: int = 1) -> CondensedMatrix:
     """Standardized pairwise distance matrix for the rows of `ds`.
 
     Exact duplicates are collapsed before traversal and expanded back with
-    intra-duplicate distance 0.
+    intra-duplicate distance 0.  Raises FitError when the accumulators and
+    the result would not fit in the memory available to the process.
     """
     if ds.n_rows < 2:
         raise FitError("need at least 2 rows for a distance matrix")
@@ -98,10 +229,16 @@ def separation_matrix(forest: Forest, ds: Dataset, threads: int = 1) -> Condense
     n = ds.n_rows
     if rep_ds.n_rows < 2:
         return CondensedMatrix(n)  # all rows identical
-    D = _depth_sum_matrix(forest, rep_ds, threads=threads)
-    avg = D / len(forest.trees)
-    iu = np.triu_indices(rep_ds.n_rows, k=1)
-    rep = CondensedMatrix(rep_ds.n_rows, depth_math.standardize_separation(avg[iu]))
+    workers = max(1, min(threads, len(forest.trees)))
+    need = workers * WORKER_CELL_BYTES * rep_ds.n_rows**2 + 8 * (n * (n - 1) // 2)
+    available = _available_bytes()
+    if available is not None and need > available:
+        raise FitError(
+            f"a distance matrix over {n} rows needs about {need} bytes, "
+            f"but {available} bytes are available"
+        )
+    avg = _depth_sums(forest, rep_ds, threads=threads) / len(forest.trees)
+    rep = CondensedMatrix(rep_ds.n_rows, depth_math.standardize_separation(avg))
     if rep_ds.n_rows == n:
         return rep
     full = rep.to_square()[np.ix_(gmap, gmap)]

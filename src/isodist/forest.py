@@ -287,7 +287,13 @@ def _draw_extended(ds, idx, rng, ndim):
         known = ~col.missing[idx]
         if col.kind == "numeric":
             kv = vals[known]
-            sigma = float(kv.std())
+            with np.errstate(over="ignore", invalid="ignore"):
+                sigma = float(kv.std())
+            if not math.isfinite(sigma):
+                # Squares of cells beyond ~1.3e154 overflow; scale them
+                # into [-1, 1] first.
+                s = float(np.abs(kv).max())
+                sigma = s * float((kv / s).std())
             z = float(rng.standard_normal()) / sigma
             contrib = z * kv
             r = float(np.median(contrib))
@@ -478,6 +484,15 @@ def _schema_var(schema, var, kind, n_labels=None):
     return var
 
 
+def _codes(codes):
+    """`codes`, checked to hold no negative category code: numpy would wrap
+    one onto the last labels.  Codes past the label count fail when used
+    as an index."""
+    if any(c < 0 for c in codes):
+        raise ModelFormatError(f"negative category code in {codes}")
+    return codes
+
+
 def _node_from_json(obj, schema, model_kind):
     try:
         kind = obj["type"]
@@ -498,9 +513,9 @@ def _node_from_json(obj, schema, model_kind):
         if kind == "cat":
             size = int(obj["n_labels"])
             left_set = np.zeros(size, dtype=bool)
-            left_set[obj["left_set"]] = True
+            left_set[_codes(obj["left_set"])] = True
             present = np.zeros(size, dtype=bool)
-            present[obj["present"]] = True
+            present[_codes(obj["present"])] = True
             return CategoricalSplit(
                 var=_schema_var(schema, obj["var"], "categorical", size),
                 left_set=left_set,
@@ -517,8 +532,8 @@ def _node_from_json(obj, schema, model_kind):
         coefs = []
         for cmap, size in zip(obj["cat_coefs"], obj["cat_sizes"]):
             arr = np.full(int(size), np.nan)
-            for code, val in cmap.items():
-                arr[int(code)] = float(val)
+            for code, val in zip(_codes([int(c) for c in cmap]), cmap.values()):
+                arr[code] = float(val)
             coefs.append(arr)
         return HyperplaneSplit(
             num_vars=[_schema_var(schema, v, "numeric") for v in obj["num_vars"]],

@@ -160,25 +160,52 @@ def test_schema_mismatch_is_runtime_error(small_csv, tmp_path, capsys):
     assert "error:" in stderr
 
 
-def test_corrupt_model_is_runtime_error(small_csv, tmp_path, capsys):
-    # A split on a column the schema does not have fails at load with an
-    # error line, not with a traceback at traversal.
+def run_with_corrupt_model(small_csv, tmp_path, corrupt):
+    """`python -m isodist dist` with a model fitted on `small_csv` and
+    then passed through `corrupt` (which edits the JSON document)."""
     model = tmp_path / "model.json"
     assert main(["fit", "--input", small_csv, "--trees", "3",
                  "--output", str(model)]) == 0
-    capsys.readouterr()
     doc = json.loads(model.read_text())
-    doc["trees"][0]["var"] = 7
+    corrupt(doc)
     model.write_text(json.dumps(doc))
     src = os.path.dirname(os.path.dirname(isodist.__file__))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "isodist", "dist", "--input", small_csv,
          "--model-file", str(model), "--output", str(tmp_path / "d.csv")],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+def test_corrupt_model_is_runtime_error(small_csv, tmp_path):
+    # A split on a column the schema does not have fails at load with an
+    # error line, not with a traceback at traversal.
+    proc = run_with_corrupt_model(
+        small_csv, tmp_path, lambda doc: doc["trees"][0].update(var=7)
+    )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def first_cat_node(node):
+    if node["type"] == "cat":
+        return node
+    if node["type"] != "terminal":
+        return first_cat_node(node["left"]) or first_cat_node(node["right"])
+    return None
+
+
+def test_negative_category_code_is_runtime_error(small_csv, tmp_path):
+    # numpy would wrap the code onto the last label and route silently.
+    def corrupt(doc):
+        next(filter(None, map(first_cat_node, doc["trees"]))).update(left_set=[-1])
+
+    proc = run_with_corrupt_model(small_csv, tmp_path, corrupt)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "negative category code" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from isodist import distance
 from isodist.data import Column, Dataset
 from isodist.depth import standardize_isolation
 from isodist.distance import (
@@ -222,6 +223,17 @@ def test_matrix_needs_two_rows(cloud_forest):
     ds = numeric_dataset([[1.0], [2.0]])
     with pytest.raises(FitError):
         separation_matrix(cloud_forest, ds)
+
+
+def test_memory_guard_refuses_before_allocating(monkeypatch, cloud, cloud_forest):
+    def accumulate(*args):
+        raise AssertionError("accumulators allocated")
+
+    monkeypatch.setattr(distance, "_available_bytes", lambda: 1000)
+    monkeypatch.setattr(distance, "_tree_sums", accumulate)
+    # 2 workers x 20 bytes x 120^2 cells + 8 bytes x 7140 condensed cells.
+    with pytest.raises(FitError, match="needs about 633120 bytes, but 1000 bytes"):
+        separation_matrix(cloud_forest, cloud, threads=2)
 
 
 def test_missing_rows_traverse_both_branches(cloud_forest):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,18 @@ def test_overflowing_range_still_splits():
     assert z == -2.0 + np.random.default_rng(3).random() * 7.0
 
 
+def test_extended_std_overflow_still_splits():
+    # Squaring cells near +-1e308 overflows kv.std(); without rescaling the
+    # coefficient is 0, no split is drawn and every distance is 0.5.
+    x = np.random.default_rng(4).uniform(-1.0, 1.0, 40) * 1e308
+    ds = numeric_dataset([x])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forest = fit_forest(ds, ForestParams(n_trees=5, seed=0, model_kind="extended"))
+        values = separation_matrix(forest, ds).values
+    assert not np.all(values == 0.5)
+
+
 def test_affine_equivariant_structure(normal_ds):
     transformed = numeric_dataset(
         [100.0 * c.values + 7.0 for c in normal_ds.columns]
@@ -340,6 +353,15 @@ MUTATIONS = {
         "extended",
         lambda d: first_node(d, "hyp", lambda n: n["cat_vars"])["cat_sizes"]
         .__setitem__(0, 5)),
+    # numpy would wrap a negative code onto the last label.
+    "negative left_set code": (
+        "single", lambda d: first_node(d, "cat").update(left_set=[-1])),
+    "negative present code": (
+        "single", lambda d: first_node(d, "cat")["present"].append(-1)),
+    "negative cat_coefs code": (
+        "extended",
+        lambda d: first_node(d, "hyp", lambda n: n["cat_vars"])["cat_coefs"][0]
+        .__setitem__("-1", 0.5)),
 }
 
 

@@ -1,0 +1,123 @@
+"""The leaf-order separation kernel against an oracle built from the
+weighted node-by-node path (`tree_depth_sums`), and the paper's distance
+axioms, on small random mixed tables."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isodist import distance
+from isodist.data import Column, Dataset, deduplicate
+from isodist.depth import standardize_separation
+from isodist.distance import separation_matrix, tree_depth_sums
+from isodist.forest import ForestParams, fit_forest
+from isodist.matrix import CondensedMatrix
+
+POOL = [-1.5, 0.0, 0.25, 3.0, 1e6]
+LABELS = ["a", "b", "c"]
+
+
+def oracle(forest, ds):
+    """separation_matrix's cells rebuilt from per-tree `tree_depth_sums`
+    (summed in tree order, averaged, standardized, expanded over duplicate
+    groups), and whether every per-tree sum is an integer."""
+    rep, gmap = deduplicate(ds)
+    n = ds.n_rows
+    if rep.n_rows < 2:
+        return np.zeros(n * (n - 1) // 2), True
+    per_tree = [tree_depth_sums(forest, tree, rep) for tree in forest.trees]
+    integral = all(np.array_equal(D, np.round(D)) for D in per_tree)
+    avg = sum(per_tree) / len(forest.trees)
+    iu = np.triu_indices(rep.n_rows, k=1)
+    rep_sq = CondensedMatrix(rep.n_rows, standardize_separation(avg[iu])).to_square()
+    # Pairs inside a duplicate group read the zero diagonal.
+    return rep_sq[np.ix_(gmap, gmap)][np.triu_indices(n, k=1)], integral
+
+
+def assert_same(got, want, integral):
+    """Exact when every per-tree sum is an integer (integer sums add
+    exactly in any order); else to float rounding, since the kernel sums
+    node by node and the oracle tree by tree."""
+    if integral:
+        assert np.array_equal(got, want)
+    else:
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def cases(draw):
+    """(fit table, prediction table, params).  Cells come from small pools,
+    so duplicate rows are common; cells may be missing; the prediction
+    table's categorical columns carry a label "z" the fit table lacks."""
+    n = draw(st.integers(2, 12))
+    kinds = ["numeric"] + draw(
+        st.lists(st.sampled_from(["numeric", "categorical"]), max_size=2)
+    )
+    fit_cols, cols = [], []
+    for j, kind in enumerate(kinds):
+        missing = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        if kind == "numeric":
+            values = np.array(draw(st.lists(st.sampled_from(POOL), min_size=n, max_size=n)))
+            if j == 0:  # one splittable column, so that fitting succeeds
+                values[:2] = POOL[:2]
+                missing[:2] = False
+            col = Column("numeric", values, missing)
+            cols.append(col)
+            fit_cols.append(col)
+        else:
+            codes = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+            cols.append(Column("categorical", codes, missing, LABELS + ["z"]))
+            unseen = codes == 3
+            fit_cols.append(
+                Column("categorical", np.where(unseen, 0, codes), missing | unseen, LABELS)
+            )
+    kind = draw(st.sampled_from(["single", "extended"]))
+    params = ForestParams(
+        n_trees=draw(st.integers(1, 4)),
+        subsample=draw(st.none() | st.integers(2, n)),
+        ndim=1 if kind == "single" else draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**16)),
+        model_kind=kind,
+    )
+    return Dataset(fit_cols), Dataset(cols), params
+
+
+@settings(max_examples=150)
+@given(cases())
+def test_kernel_matches_oracle_and_axioms(case):
+    fit_ds, ds, params = case
+    forest = fit_forest(fit_ds, params)
+    got = separation_matrix(forest, ds).values
+    want, integral = oracle(forest, ds)
+    assert_same(got, want, integral)
+    # Cells lie in (0, 1], and 0 only between rows of one duplicate group.
+    _, gmap = deduplicate(ds)
+    iu = np.triu_indices(ds.n_rows, k=1)
+    same = gmap[iu[0]] == gmap[iu[1]]
+    assert np.all(got[same] == 0.0)
+    assert np.all((got[~same] > 0.0) & (got[~same] <= 1.0))
+    assert_same(separation_matrix(forest, ds, threads=2).values, got, integral)
+
+
+def test_deep_tree_matches_oracle():
+    # On a geometric column a uniform threshold mostly splits off the top
+    # cell or two, so the tree grows deeper than an 8-bit cell can count.
+    x = 8.0 ** np.arange(300)
+    ds = Dataset([Column("numeric", x, np.zeros(len(x), dtype=bool))])
+    forest = fit_forest(ds, ForestParams(n_trees=2, seed=0))
+    assert max(tree_depth_sums(forest, t, ds).max() for t in forest.trees) > 255 + 3
+    want, integral = oracle(forest, ds)
+    assert integral
+    assert np.array_equal(separation_matrix(forest, ds).values, want)
+
+
+def test_int32_sums_move_to_float_before_they_could_wrap(monkeypatch):
+    rng = np.random.default_rng(5)
+    ds = Dataset([Column("numeric", rng.standard_normal(60), np.zeros(60, dtype=bool))])
+    forest = fit_forest(ds, ForestParams(n_trees=12, seed=1))
+    want = separation_matrix(forest, ds).values
+    # A cap below two trees' depths moves the int32 sums into the float64
+    # sums every tree or two.
+    monkeypatch.setattr(distance, "INT32_MAX", 20)
+    assert np.array_equal(separation_matrix(forest, ds).values, want)
+    assert np.array_equal(separation_matrix(forest, ds, threads=2).values, want)
