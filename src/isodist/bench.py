@@ -113,7 +113,7 @@ def generate_scenario(name: str, n_rows: int, rng) -> dict:
     raise ValueError(f"unknown scenario {name!r}")
 
 
-def _fit_matrix(ds, trees, seed, kind, ndim, threads) -> CondensedMatrix:
+def _fit_matrix(ds, trees, seed, kind, ndim) -> CondensedMatrix:
     params = ForestParams(
         n_trees=trees,
         subsample=None,
@@ -123,7 +123,7 @@ def _fit_matrix(ds, trees, seed, kind, ndim, threads) -> CondensedMatrix:
         model_kind=kind,
     )
     forest = fit_forest(ds, params)
-    return separation_matrix(forest, ds, threads=threads)
+    return separation_matrix(forest, ds)
 
 
 def _baseline_metrics(ds: Dataset, drop_cols=()) -> dict:
@@ -140,10 +140,10 @@ def _baseline_metrics(ds: Dataset, drop_cols=()) -> dict:
 
 
 def _group_means(matrix: CondensedMatrix, groups: np.ndarray) -> dict:
-    sq = matrix.to_square()
+    # Condensed cells run in the row-major upper-triangle order.
     iu = np.triu_indices(matrix.n, k=1)
     gi, gj = groups[iu[0]], groups[iu[1]]
-    cells = sq[iu]
+    cells = matrix.values
     return {
         "within_a": float(cells[gi & gj].mean()),
         "within_b": float(cells[~gi & ~gj].mean()),
@@ -151,7 +151,7 @@ def _group_means(matrix: CondensedMatrix, groups: np.ndarray) -> dict:
     }
 
 
-def _scenario_metrics(name, n_rows, trees, seed, threads, input_path, missing_tokens):
+def _scenario_metrics(name, n_rows, trees, seed, input_path, missing_tokens):
     rng = np.random.default_rng(seed)
     out = generate_scenario(name, n_rows, rng) if name != "gower" else {}
     metrics = {}
@@ -161,18 +161,18 @@ def _scenario_metrics(name, n_rows, trees, seed, threads, input_path, missing_to
         if input_path is None:
             raise ValueError("the gower scenario needs --input <csv>")
         ds = load_csv(input_path, missing_tokens=missing_tokens)
-        metrics["IsoExt"] = _fit_matrix(ds, trees, seed, "extended", 2, threads)
+        metrics["IsoExt"] = _fit_matrix(ds, trees, seed, "extended", 2)
         metrics["Gower"] = baselines.gower_matrix(ds)
         return metrics, extras
 
     ds = out["dataset"]
     if name == "mixed":
-        metrics["IsoExt"] = _fit_matrix(ds, trees, seed, "extended", 2, threads)
+        metrics["IsoExt"] = _fit_matrix(ds, trees, seed, "extended", 2)
         metrics["Gower"] = baselines.gower_matrix(ds)
         return metrics, extras
 
-    metrics["Iso"] = _fit_matrix(ds, trees, seed, "single", 1, threads)
-    metrics["IsoExt"] = _fit_matrix(ds, trees, seed, "extended", 2, threads)
+    metrics["Iso"] = _fit_matrix(ds, trees, seed, "single", 1)
+    metrics["IsoExt"] = _fit_matrix(ds, trees, seed, "extended", 2)
     metrics.update(_baseline_metrics(ds))
 
     if name == "t3":
@@ -180,8 +180,8 @@ def _scenario_metrics(name, n_rows, trees, seed, threads, input_path, missing_to
             metrics[f"{key}(no_x3)"] = mat
     if name == "t4":
         na = out["na"]
-        metrics["Iso(NA)"] = _fit_matrix(na, trees, seed, "single", 1, threads)
-        metrics["IsoExt(NA)"] = _fit_matrix(na, trees, seed, "extended", 2, threads)
+        metrics["Iso(NA)"] = _fit_matrix(na, trees, seed, "single", 1)
+        metrics["IsoExt(NA)"] = _fit_matrix(na, trees, seed, "extended", 2)
         for key, mat in _baseline_metrics(na).items():
             metrics[f"{key}(NA)"] = mat
     if name == "t5":
@@ -195,7 +195,6 @@ def run_bench(
     trees: int = 100,
     n_seeds: int = 5,
     base_seed: int = 0,
-    threads: int = 1,
     input_path=None,
     missing_tokens=("", "NA"),
 ) -> dict:
@@ -209,7 +208,7 @@ def run_bench(
     for seed in seeds:
         t0 = time.perf_counter()
         metrics, extras = _scenario_metrics(
-            scenario, rows, trees, seed, threads, input_path, missing_tokens
+            scenario, rows, trees, seed, input_path, missing_tokens
         )
         names = sorted(metrics)
         for i, a in enumerate(names):
@@ -232,7 +231,6 @@ def run_bench(
             "trees": trees,
             "n_seeds": n_seeds,
             "base_seed": base_seed,
-            "threads": threads,
         },
         "seeds": seeds,
         "correlations": {k: float(np.mean(v)) for k, v in sorted(corr_acc.items())},

@@ -138,7 +138,7 @@ def cmd_dist(args) -> int:
     if n_dup:
         print(f"note: {n_dup} duplicate rows collapsed (distance 0 within groups)",
               file=sys.stderr)
-    matrix = separation_matrix(forest, ds, threads=args.threads)
+    matrix = separation_matrix(forest, ds)
     if args.format == "bin":
         matrix.write_binary(args.output)
     else:
@@ -167,7 +167,6 @@ def cmd_bench(args) -> int:
         trees=args.trees,
         n_seeds=args.seeds,
         base_seed=args.seed,
-        threads=args.threads,
         input_path=args.input,
         missing_tokens=("", args.missing_token),
     )
@@ -184,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="isodist",
         description="Tree-ensemble separation-depth distances for tabular data",
     )
-    parser.add_argument("--threads", type=_positive_int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit a model and write it to JSON")

@@ -23,13 +23,14 @@ median imputation to the hyperplane projection (extended trees).
   weights, node by node, into a float64 accumulator (`_acc_depths`, which
   `tree_depth_sums` also uses).
 
-Each worker thread holds an int32 n x n accumulator and two int32 n x n
-scratch blocks, plus a float64 n x n accumulator once one of its trees
-takes the weighted path, which also makes n x n float64 temporaries at
-nodes near the root.  Only the n(n-1)/2 upper cells become float64, at
-the end.  Before allocating, `separation_matrix` estimates the four
-per-worker arrays and the float64 result; if that exceeds the memory
-available to the process it raises `FitError` naming both byte counts.
+Trees are summed one after another into one set of accumulators: an
+int32 n x n accumulator and two int32 n x n scratch blocks, plus a
+float64 n x n accumulator once a tree takes the weighted path, which also
+makes n x n float64 temporaries at nodes near the root.  Only the
+n(n-1)/2 upper cells become float64, at the end.  Before allocating,
+`separation_matrix` estimates these four arrays and the float64 result;
+if that exceeds the memory available to the process it raises `FitError`
+naming both byte counts.
 
 Depth sums are averaged over trees and squashed through
 2^(-(avg-1)/2), giving distances in (0, 1] with 0.5 the expected value
@@ -40,8 +41,6 @@ true duplicates.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from . import depth as depth_math
@@ -49,13 +48,13 @@ from .data import Dataset, deduplicate
 from .forest import FitError, Forest, Terminal, remap_dataset, route
 from .matrix import CondensedMatrix
 
-# A worker's int32 sums move into its float64 sums before the next tree
-# could take them past this value.
+# The int32 sums move into the float64 sums before the next tree could
+# take them past this value.
 INT32_MAX = int(np.iinfo(np.int32).max)
 
-# Bytes per n x n cell a worker thread may hold: int32 accumulator, two
-# int32 scratch blocks, float64 accumulator.
-WORKER_CELL_BYTES = 4 + 4 + 4 + 8
+# Accumulator bytes per n x n cell: int32 accumulator, two int32 scratch
+# blocks, float64 accumulator.
+CELL_BYTES = 4 + 4 + 4 + 8
 
 
 def _walk(forest: Forest, tree, ds: Dataset, min_rows: int):
@@ -115,15 +114,15 @@ def _leaf_blocks(tree, ds: Dataset):
     return np.concatenate(order), splits, terminals
 
 
-def _tree_sums(forest: Forest, trees, ds: Dataset):
-    """Pair depth sums of `trees` over the rows of `ds` as (counts, sums):
-    int32 sums of the trees the leaf-order kernel takes and float64 sums
-    of the others, each None until a tree needs it.  Off-diagonal cells
-    only are meaningful."""
+def _tree_sums(forest: Forest, ds: Dataset) -> np.ndarray:
+    """Condensed pair depth sums of all trees over the rows of `ds`.
+
+    Trees the leaf-order kernel takes add into int32 `counts`, the others
+    into float64 `sums`; each is allocated when a tree first needs it."""
     n = ds.n_rows
     counts = sums = None
     bound = 0  # the largest value a cell of `counts` can hold
-    for tree in trees:
+    for tree in forest.trees:
         blocks = _leaf_blocks(tree, ds)
         if blocks is None:
             if sums is None:
@@ -153,30 +152,19 @@ def _tree_sums(forest: Forest, trees, ds: Dataset):
         np.take(leaf, inv, axis=0, out=scratch)
         np.take(scratch, inv, axis=1, out=leaf)
         counts += leaf
-    return counts, sums
+    # Float sums first: a forest without kernel trees then adds exactly as
+    # the node-by-node accumulation always has.
+    if sums is None:
+        return _upper(counts)
+    total = _upper(sums)
+    if counts is not None:
+        total += _upper(counts)
+    return total
 
 
 def _upper(a) -> np.ndarray:
     """The condensed upper-triangle cells of square `a`, as float64."""
     return np.concatenate([a[i, i + 1 :] for i in range(len(a) - 1)], dtype=np.float64)
-
-
-def _depth_sums(forest: Forest, ds: Dataset, threads: int) -> np.ndarray:
-    """Condensed pair depth sums over all trees; `threads` workers each
-    take every threads-th tree."""
-    if threads <= 1:
-        parts = [_tree_sums(forest, forest.trees, ds)]
-    else:
-        chunks = [forest.trees[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda trees: _tree_sums(forest, trees, ds), chunks))
-    # Float sums first, in worker order: a forest without kernel trees then
-    # adds exactly as the node-by-node accumulation always has.
-    arrays = [s for _, s in parts if s is not None] + [c for c, _ in parts if c is not None]
-    total = _upper(arrays[0])
-    for a in arrays[1:]:
-        total += _upper(a)
-    return total
 
 
 def _available_bytes() -> int | None:
@@ -221,6 +209,10 @@ def separation_matrix(forest: Forest, ds: Dataset, threads: int = 1) -> Condense
     Exact duplicates are collapsed before traversal and expanded back with
     intra-duplicate distance 0.  Raises FitError when the accumulators and
     the result would not fit in the memory available to the process.
+
+    `threads` is accepted and ignored, for backward compatibility: trees
+    are summed one after another into one set of accumulators, since a
+    thread pool measured no faster and each worker held its own.
     """
     if ds.n_rows < 2:
         raise FitError("need at least 2 rows for a distance matrix")
@@ -229,20 +221,16 @@ def separation_matrix(forest: Forest, ds: Dataset, threads: int = 1) -> Condense
     n = ds.n_rows
     if rep_ds.n_rows < 2:
         return CondensedMatrix(n)  # all rows identical
-    workers = max(1, min(threads, len(forest.trees)))
-    need = workers * WORKER_CELL_BYTES * rep_ds.n_rows**2 + 8 * (n * (n - 1) // 2)
+    need = CELL_BYTES * rep_ds.n_rows**2 + 8 * (n * (n - 1) // 2)
     available = _available_bytes()
     if available is not None and need > available:
         raise FitError(
             f"a distance matrix over {n} rows needs about {need} bytes, "
             f"but {available} bytes are available"
         )
-    avg = _depth_sums(forest, rep_ds, threads=threads) / len(forest.trees)
+    avg = _tree_sums(forest, rep_ds) / len(forest.trees)
     rep = CondensedMatrix(rep_ds.n_rows, depth_math.standardize_separation(avg))
-    if rep_ds.n_rows == n:
-        return rep
-    full = rep.to_square()[np.ix_(gmap, gmap)]
-    return CondensedMatrix.from_square(full)
+    return rep if rep_ds.n_rows == n else rep.take(gmap)
 
 
 def pair_distance(forest: Forest, ds: Dataset, i: int, j: int) -> float:

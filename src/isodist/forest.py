@@ -362,8 +362,8 @@ def fit_forest(ds: Dataset, params: ForestParams, threads: int = 1) -> Forest:
     """Grow `params.n_trees` trees on (weighted, without-replacement)
     subsamples of `ds`.  Deterministic in (ds, params, seed).
 
-    `threads` has no effect and is accepted for backward compatibility:
-    trees grow one after another, since per-node Python work holds the
+    `threads` is accepted and ignored, for backward compatibility: trees
+    grow one after another, since per-node Python work holds the
     interpreter lock and a thread pool measured no faster.
     """
     if ds.n_rows < 2:
@@ -408,11 +408,13 @@ def remap_dataset(forest: Forest, ds: Dataset) -> Dataset:
             cols.append(col)
             continue
         model_index = {lab: i for i, lab in enumerate(spec["labels"])}
+        # The last entry maps code UNSEEN_CODE (-1) to itself, so remapping
+        # a remapped dataset changes nothing.
         lookup = np.array(
-            [model_index.get(lab, UNSEEN_CODE) for lab in col.labels], dtype=np.int64
+            [model_index.get(lab, UNSEEN_CODE) for lab in col.labels] + [UNSEEN_CODE],
+            dtype=np.int64,
         )
-        codes = np.where(col.missing, 0, col.values)
-        remapped = lookup[codes] if len(lookup) else np.full(len(codes), UNSEEN_CODE)
+        remapped = lookup[np.where(col.missing, 0, col.values)]
         cols.append(Column(col.kind, remapped, col.missing, list(spec["labels"])))
     return Dataset(cols, list(ds.names), ds.weights)
 

@@ -15,6 +15,12 @@ import numpy as np
 MAGIC = b"ISODIST1"
 
 
+def _cell(n, i, j):
+    """Condensed position of the pair (i, j), i < j, in an n x n matrix;
+    i and j may be integer arrays."""
+    return n * i - i * (i + 1) // 2 + (j - i - 1)
+
+
 class CondensedMatrix:
     def __init__(self, n: int, values: np.ndarray | None = None):
         if n < 2:
@@ -35,7 +41,7 @@ class CondensedMatrix:
             i, j = j, i
         if not (0 <= i < j < self.n):
             raise IndexError(f"pair ({i}, {j}) out of range for n={self.n}")
-        return self.n * i - i * (i + 1) // 2 + (j - i - 1)
+        return _cell(self.n, i, j)
 
     def __getitem__(self, ij) -> float:
         i, j = ij
@@ -48,6 +54,26 @@ class CondensedMatrix:
     def __setitem__(self, ij, value: float) -> None:
         i, j = ij
         self.values[self.index(i, j)] = value
+
+    def take(self, rows) -> "CondensedMatrix":
+        """The matrix over `rows`, indices into this one that may repeat:
+        cell (i, j) is self[rows[i], rows[j]], which is 0 when the two
+        indices are equal.  Gathered row by row, with no square array."""
+        rows = np.asarray(rows, dtype=np.int64)
+        n = len(rows)
+        out = np.empty(n * (n - 1) // 2)
+        start = 0
+        for i in range(n - 1):
+            a, b = rows[i], rows[i + 1 :]
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            part = out[start : start + len(b)]
+            # Equal indices address no cell: _cell(n, k, k) lies in
+            # [-1, m - 1], so the gather stays in range, and its value is
+            # replaced by 0.
+            np.take(self.values, _cell(self.n, lo, hi), out=part)
+            part[lo == hi] = 0.0
+            start += len(b)
+        return CondensedMatrix(n, out)
 
     def to_square(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))

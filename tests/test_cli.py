@@ -130,6 +130,14 @@ def test_missing_input_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_threads_flag_is_usage_error(small_csv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "dist", "--input", small_csv, "--fit-predict",
+              "--output", str(tmp_path / "d.csv")])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_zero_trees_is_usage_error(small_csv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--input", small_csv, "--trees", "0",

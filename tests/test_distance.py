@@ -1,7 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
 from isodist import distance
+from isodist.bench import generate_scenario
 from isodist.data import Column, Dataset
 from isodist.depth import standardize_isolation
 from isodist.distance import (
@@ -197,10 +200,16 @@ def test_third_point_independence(cloud, cloud_forest):
     assert m_sub[1, 2] == m_full[77, 11]
 
 
-def test_scale_equivariance_bit_identical(cloud):
-    transformed = numeric_dataset([100.0 * c.values + 7.0 for c in cloud.columns])
-    params = ForestParams(n_trees=30, seed=77)
-    m1 = separation_matrix(fit_forest(cloud, params), cloud)
+@pytest.mark.parametrize("table", ["cloud", "t4-na"])
+@pytest.mark.parametrize("kind, ndim", [("single", 1), ("extended", 2)], ids=["single", "extended"])
+def test_scale_equivariance_bit_identical(cloud, kind, ndim, table):
+    # t4-na: five correlated columns with 15% of cells missing.
+    ds = cloud if table == "cloud" else generate_scenario("t4", 120, np.random.default_rng(4))["na"]
+    transformed = numeric_dataset(
+        [100.0 * c.values + 7.0 for c in ds.columns], [c.missing for c in ds.columns]
+    )
+    params = ForestParams(n_trees=30, seed=77, model_kind=kind, ndim=ndim)
+    m1 = separation_matrix(fit_forest(ds, params), ds)
     m2 = separation_matrix(fit_forest(transformed, params), transformed)
     assert np.array_equal(m1.values, m2.values)
 
@@ -231,8 +240,9 @@ def test_memory_guard_refuses_before_allocating(monkeypatch, cloud, cloud_forest
 
     monkeypatch.setattr(distance, "_available_bytes", lambda: 1000)
     monkeypatch.setattr(distance, "_tree_sums", accumulate)
-    # 2 workers x 20 bytes x 120^2 cells + 8 bytes x 7140 condensed cells.
-    with pytest.raises(FitError, match="needs about 633120 bytes, but 1000 bytes"):
+    # 20 bytes x 120^2 cells + 8 bytes x 7140 condensed cells, whatever
+    # `threads` says.
+    with pytest.raises(FitError, match="needs about 345120 bytes, but 1000 bytes"):
         separation_matrix(cloud_forest, cloud, threads=2)
 
 
@@ -248,7 +258,15 @@ def test_missing_rows_traverse_both_branches(cloud_forest):
 def test_threaded_distance_matches_serial(cloud, cloud_forest):
     a = separation_matrix(cloud_forest, cloud, threads=1)
     b = separation_matrix(cloud_forest, cloud, threads=4)
-    assert np.allclose(a.values, b.values, atol=1e-12)
+    assert np.array_equal(a.values, b.values)
+
+
+def test_separation_matrix_starts_no_thread(monkeypatch, cloud, cloud_forest):
+    def start(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    separation_matrix(cloud_forest, cloud, threads=4)
 
 
 def test_anomaly_scores_range_and_expectation(cloud, cloud_forest):

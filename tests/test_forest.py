@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from isodist.bench import generate_scenario
 from isodist.data import Column, Dataset
-from isodist.distance import separation_matrix
+from isodist.distance import anomaly_scores, separation_matrix
 from isodist.forest import (
     CategoricalSplit,
     FitError,
@@ -409,6 +410,32 @@ def test_unseen_category_remap():
     # traversal must still produce a valid distance
     d = separation_matrix(forest, new)[0, 1]
     assert 0.0 < d <= 1.0
+
+
+@pytest.mark.parametrize("kind, ndim", [("single", 1), ("extended", 2)], ids=["single", "extended"])
+def test_remap_is_idempotent(kind, ndim):
+    ds = generate_scenario("mixed", 120, np.random.default_rng(6))["dataset"]
+    forest = fit_forest(ds, ForestParams(n_trees=4, seed=2, ndim=ndim, model_kind=kind))
+    # A 30-row probe whose every fifth categorical cell holds a label the
+    # model never saw.
+    cols = []
+    for c in ds.take(np.arange(30)).columns:
+        if c.kind == "categorical":
+            codes = c.values.copy()
+            codes[::5] = len(c.labels)
+            c = Column(c.kind, codes, c.missing, c.labels + ["unseen"])
+        cols.append(c)
+    raw = Dataset(cols, list(ds.names))
+    once = remap_dataset(forest, raw)
+    twice = remap_dataset(forest, once)
+    for a, b in zip(once.columns, twice.columns):
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.missing, b.missing)
+        assert a.labels == b.labels
+    assert np.array_equal(anomaly_scores(forest, once), anomaly_scores(forest, raw))
+    assert np.array_equal(
+        separation_matrix(forest, once).values, separation_matrix(forest, raw).values
+    )
 
 
 def test_schema_mismatch_rejected(normal_ds):

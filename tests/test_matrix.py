@@ -76,3 +76,12 @@ def test_binary_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOTADIST" + b"\x00" * 16)
     with pytest.raises(ValueError):
         CondensedMatrix.read_binary(path)
+
+
+def test_take_matches_square_gather():
+    rng = np.random.default_rng(3)
+    m = CondensedMatrix(6, rng.random(15))
+    # Repeats, including of the first and the last row, read 0.
+    rows = np.array([2, 0, 5, 2, 1, 0, 4, 3, 5])
+    want = CondensedMatrix.from_square(m.to_square()[np.ix_(rows, rows)])
+    assert np.array_equal(m.take(rows).values, want.values)

@@ -1,6 +1,7 @@
 """The leaf-order separation kernel against an oracle built from the
-weighted node-by-node path (`tree_depth_sums`), and the paper's distance
-axioms, on small random mixed tables."""
+weighted node-by-node path (`tree_depth_sums`), the paper's distance
+axioms, and batch-independent anomaly scores, on small random mixed
+tables."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from isodist import distance
 from isodist.data import Column, Dataset, deduplicate
 from isodist.depth import standardize_separation
-from isodist.distance import separation_matrix, tree_depth_sums
+from isodist.distance import anomaly_scores, separation_matrix, tree_depth_sums
 from isodist.forest import ForestParams, fit_forest
 from isodist.matrix import CondensedMatrix
 
@@ -97,6 +98,22 @@ def test_kernel_matches_oracle_and_axioms(case):
     assert np.all(got[same] == 0.0)
     assert np.all((got[~same] > 0.0) & (got[~same] <= 1.0))
     assert_same(separation_matrix(forest, ds, threads=2).values, got, integral)
+
+
+@settings(max_examples=100)
+@given(cases(), st.data())
+def test_scores_do_not_depend_on_the_batch(case, data):
+    fit_ds, ds, params = case
+    forest = fit_forest(fit_ds, params)
+    whole = anomaly_scores(forest, ds)
+    batch_of = np.array(
+        data.draw(st.lists(st.integers(0, 3), min_size=ds.n_rows, max_size=ds.n_rows))
+    )
+    batched = np.empty(ds.n_rows)
+    for b in np.unique(batch_of):
+        rows = np.flatnonzero(batch_of == b)
+        batched[rows] = anomaly_scores(forest, ds.take(rows))
+    assert np.array_equal(batched, whole)
 
 
 def test_deep_tree_matches_oracle():
