@@ -13,7 +13,7 @@ from .baselines import (
     mean_impute,
     pearson_corr,
 )
-from .data import Column, ColumnStats, Dataset, column_stats, deduplicate, load_csv
+from .data import Column, Dataset, deduplicate, load_csv
 from .depth import (
     expected_isolation,
     expected_separation_direct,
@@ -27,13 +27,11 @@ from .matrix import CondensedMatrix
 
 __all__ = [
     "Column",
-    "ColumnStats",
     "CondensedMatrix",
     "Dataset",
     "Forest",
     "ForestParams",
     "anomaly_scores",
-    "column_stats",
     "cosine_distance_matrix",
     "deduplicate",
     "euclidean_matrix",

@@ -21,6 +21,7 @@ from .forest import (
     ForestParams,
     ModelFormatError,
     fit_forest,
+    leaf_depths,
     load_model,
     save_model,
 )
@@ -33,13 +34,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _depth_arg(text: str):
-    if text == "full":
-        return None
-    return _positive_int(text)
-
-
-def _subsample_arg(text: str):
+def _positive_or_full(text: str):
     if text == "full":
         return None
     return _positive_int(text)
@@ -56,10 +51,10 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trees", type=_positive_int, default=100)
     p.add_argument("--ndim", type=_positive_int, default=None,
                    help="variables per hyperplane split (extended model)")
-    p.add_argument("--max-depth", type=_depth_arg, default=None, metavar="N|full",
-                   help="tree depth cap (default: full)")
-    p.add_argument("--subsample", type=_subsample_arg, default=None, metavar="N|full",
-                   help="per-tree subsample size (default: full)")
+    p.add_argument("--max-depth", type=_positive_or_full, default=None,
+                   metavar="N|full", help="tree depth cap (default: full)")
+    p.add_argument("--subsample", type=_positive_or_full, default=None,
+                   metavar="N|full", help="per-tree subsample size (default: full)")
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -96,27 +91,16 @@ def _make_params(args) -> ForestParams:
     )
 
 
-def _depth_stats(node, depth=0, acc=None):
-    if acc is None:
-        acc = []
-    if getattr(node, "left", None) is None:
-        acc.append(depth)
-    else:
-        _depth_stats(node.left, depth + 1, acc)
-        _depth_stats(node.right, depth + 1, acc)
-    return acc
-
-
 def cmd_fit(args) -> int:
     ds = _load_input(args)
     forest = fit_forest(ds, _make_params(args))
     save_model(forest, args.output)
-    leaf_depths = np.concatenate([_depth_stats(t) for t in forest.trees])
+    depths = np.concatenate([leaf_depths(t) for t in forest.trees])
     print(
         f"fitted {forest.params.model_kind} model: "
         f"{forest.params.n_trees} trees on {ds.n_rows} rows "
         f"(subsample {forest.n_sub}); "
-        f"leaf depth mean {leaf_depths.mean():.2f} max {leaf_depths.max()}"
+        f"leaf depth mean {depths.mean():.2f} max {depths.max()}"
     )
     print(f"model written to {args.output}")
     return 0

@@ -116,35 +116,6 @@ class Dataset:
         return tuple(parts)
 
 
-@dataclass
-class ColumnStats:
-    min: float
-    max: float
-    mean: float
-    std: float
-    median: float
-    n_present: int
-
-
-def column_stats(col: Column, subset) -> ColumnStats:
-    """Stats over the non-missing entries of `subset` (numeric columns)."""
-    subset = np.asarray(subset)
-    if subset.size == 0:
-        raise DataError("subset must be non-empty")
-    present = ~col.missing[subset]
-    vals = col.values[subset][present].astype(np.float64)
-    if vals.size == 0:
-        return ColumnStats(np.nan, np.nan, np.nan, np.nan, np.nan, 0)
-    return ColumnStats(
-        min=float(vals.min()),
-        max=float(vals.max()),
-        mean=float(vals.mean()),
-        std=float(vals.std()),
-        median=float(np.median(vals)),
-        n_present=int(vals.size),
-    )
-
-
 def _is_missing(cell: str, missing_tokens) -> bool:
     return cell in missing_tokens
 

@@ -9,19 +9,22 @@ split never saw go down both branches with weights scaled by the stored
 left-branch proportion (single-variable trees) or contribute their stored
 median imputation to the hyperplane projection (extended trees).
 
-`separation_matrix` sums each tree's pair depths by one of two paths:
+`separation_matrix` sums each tree's pair depths by one of two paths,
+both reading the tree through `forest.walk`, the one row walk:
 
 * Trees that send every row one way at every node (all extended trees,
   and single-variable trees on rows without missing cells or categories
-  a node never saw) take the leaf-order kernel.  Rows sorted into the
-  tree's pre-order leaf order make every node one contiguous block, so a
-  pair split at depth d gets d + 1 and a pair sharing a terminal at depth
-  d gets d + 3, written as about n block assignments into an int32
-  scratch and gathered into an int32 accumulator.
-* A tree that sends some row neither way (such a row needs both-branch
-  weights) is abandoned by the kernel's walk and accumulated with
-  weights, node by node, into a float64 accumulator (`_acc_depths`, which
-  `tree_depth_sums` also uses).
+  a node never saw) take the leaf-order kernel.  The rows of the nodes
+  the walk does not descend from, concatenated, are the leaf order, in
+  which every node is one block.  A terminal at depth d fills its block
+  with d + 3; a split at depth d fills the two blocks between its
+  children with d + 1 once its first child, next in pre-order, shows
+  where its rows divide.  Each off-diagonal cell of an int32 scratch is
+  written once, then gathered into an int32 accumulator.
+* A tree whose unweighted walk stops at a split that sends some row
+  neither way (it needs both-branch weights) is accumulated with
+  weights, node by node, into a float64 accumulator (`_acc_depths`,
+  which `tree_depth_sums` also uses).
 
 Trees are summed one after another into one set of accumulators: an
 int32 n x n accumulator and two int32 n x n scratch blocks, plus a
@@ -45,7 +48,7 @@ import numpy as np
 
 from . import depth as depth_math
 from .data import Dataset, deduplicate
-from .forest import FitError, Forest, Terminal, remap_dataset, route
+from .forest import FitError, Forest, remap_dataset, walk
 from .matrix import CondensedMatrix
 
 # The int32 sums move into the float64 sums before the next tree could
@@ -57,61 +60,13 @@ INT32_MAX = int(np.iinfo(np.int32).max)
 CELL_BYTES = 4 + 4 + 4 + 8
 
 
-def _walk(forest: Forest, tree, ds: Dataset, min_rows: int):
-    """Pre-order, left-first walk of `tree` yielding (node, idx, w, depth)
-    for every node that at least `min_rows` of the rows of `ds` reach.
-    Rows start with weight 1; hyperplane trees carry no weights (w None)."""
-    w = np.ones(ds.n_rows) if forest.params.model_kind == "single" else None
-    stack = [(tree, np.arange(ds.n_rows), w, 0)]
-    while stack:
-        node, idx, w, depth = stack.pop()
-        if len(idx) < min_rows:
-            continue
-        yield node, idx, w, depth
-        if not isinstance(node, Terminal):
-            idx_l, w_l, idx_r, w_r = route(node, ds, idx, w)
-            stack.append((node.right, idx_r, w_r, depth + 1))
-            stack.append((node.left, idx_l, w_l, depth + 1))
-
-
-def _acc_depths(forest: Forest, tree, ds: Dataset, D):
+def _acc_depths(tree, ds: Dataset, D):
     """Add one tree's pair depth sums into D: w_i*w_j for every shared node,
     3*w_i*w_j for a shared terminal."""
-    for node, idx, w, _ in _walk(forest, tree, ds, 2):
-        cell = 1.0 if w is None else np.outer(w, w)
-        D[np.ix_(idx, idx)] += 3.0 * cell if isinstance(node, Terminal) else cell
-
-
-def _leaf_blocks(tree, ds: Dataset):
-    """The rows of `ds` in `tree`'s leaf order and the blocks of that order
-    that hold their pair depths, or None when some node sends a row
-    neither way (it would need both-branch weights).
-
-    Rows route unweighted, pre-order and left-first, so every node's rows
-    are one block of the order.  Returns (order, splits, terminals): a
-    split at depth d whose rows divide into [s, m) and [m, e) gives
-    (s, m, e, d + 1), and a terminal at depth d holding rows [s, e), at
-    least 2, gives (s, e, d + 3).  Unlike `_walk`, this needs each split's
-    children before it descends."""
-    order, splits, terminals = [], [], []
-    start = 0
-    stack = [(tree, np.arange(ds.n_rows), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        if len(idx) >= 2 and not isinstance(node, Terminal):
-            idx_l, _, idx_r, _ = route(node, ds, idx, None)
-            if len(idx_l) + len(idx_r) < len(idx):
-                return None
-            if len(idx_l) and len(idx_r):
-                splits.append((start, start + len(idx_l), start + len(idx), depth + 1))
-            stack.append((node.right, idx_r, depth + 1))
-            stack.append((node.left, idx_l, depth + 1))
-            continue
+    for size, idx, w, _ in walk(tree, ds, True, 2):
         if len(idx) >= 2:
-            terminals.append((start, start + len(idx), depth + 3))
-        order.append(idx)
-        start += len(idx)
-    return np.concatenate(order), splits, terminals
+            cell = 1.0 if w is None else np.outer(w, w)
+            D[np.ix_(idx, idx)] += cell if size is None else 3.0 * cell
 
 
 def _tree_sums(forest: Forest, ds: Dataset) -> np.ndarray:
@@ -121,19 +76,37 @@ def _tree_sums(forest: Forest, ds: Dataset) -> np.ndarray:
     into float64 `sums`; each is allocated when a tree first needs it."""
     n = ds.n_rows
     counts = sums = None
+    leaf = np.empty((n, n), dtype=np.int32)
     bound = 0  # the largest value a cell of `counts` can hold
     for tree in forest.trees:
-        blocks = _leaf_blocks(tree, ds)
-        if blocks is None:
+        # `leaf` takes the pair depths in leaf order: the rows of the nodes
+        # the walk does not descend from, concatenated.  A terminal fills
+        # its own block; a split's first child with rows comes next in
+        # pre-order and marks where the split's rows divide.
+        order, placed, top, split = [], 0, 0, None
+        for size, idx, _, depth in walk(tree, ds, False, 2):
+            k = len(idx)
+            if split is not None:
+                s, e, d = split
+                leaf[s : s + k, s + k : e] = d
+                leaf[s + k : e, s : s + k] = d
+                top, split = max(top, d), None
+            if size is None and k >= 2:
+                split = (placed, placed + k, depth + 1)
+                continue
+            if k >= 2:
+                leaf[placed : placed + k, placed : placed + k] = depth + 3
+                top = max(top, depth + 3)
+            order.append(idx)
+            placed += k
+        if placed < n:  # the walk stopped: some row needs both-branch weights
             if sums is None:
                 sums = np.zeros((n, n))
-            _acc_depths(forest, tree, ds, sums)
+            _acc_depths(tree, ds, sums)
             continue
-        order, splits, terminals = blocks
         if counts is None:
             counts = np.zeros((n, n), dtype=np.int32)
-            leaf, scratch = np.empty_like(counts), np.empty_like(counts)
-        top = max(b[-1] for b in splits + terminals)
+            scratch = np.empty_like(counts)
         if bound + top > INT32_MAX:
             if sums is None:
                 sums = np.zeros((n, n))
@@ -141,14 +114,8 @@ def _tree_sums(forest: Forest, ds: Dataset) -> np.ndarray:
             counts[:] = 0
             bound = 0
         bound += top
-        # Every off-diagonal cell of `leaf` is written once per tree.
-        for s, m, e, d in splits:
-            leaf[s:m, m:e] = d
-            leaf[m:e, s:m] = d
-        for s, e, d in terminals:
-            leaf[s:e, s:e] = d
         inv = np.empty(n, dtype=np.intp)
-        inv[order] = np.arange(n)
+        inv[np.concatenate(order)] = np.arange(n)
         np.take(leaf, inv, axis=0, out=scratch)
         np.take(scratch, inv, axis=1, out=leaf)
         counts += leaf
@@ -199,7 +166,7 @@ def tree_depth_sums(forest: Forest, tree, ds: Dataset) -> np.ndarray:
     """
     ds = remap_dataset(forest, ds)
     D = np.zeros((ds.n_rows, ds.n_rows))
-    _acc_depths(forest, tree, ds, D)
+    _acc_depths(tree, ds, D)
     return D
 
 
@@ -252,10 +219,10 @@ def anomaly_scores(forest: Forest, ds: Dataset) -> np.ndarray:
     ds = remap_dataset(forest, ds)
     depths = np.zeros(ds.n_rows)
     for tree in forest.trees:
-        for node, idx, w, depth in _walk(forest, tree, ds, 1):
-            if isinstance(node, Terminal):
+        for size, idx, w, depth in walk(tree, ds, True, 1):
+            if size is not None:
                 # A row reaches a node at most once, so no np.add.at.
-                n_eff = max(1, int(round(node.size)))
+                n_eff = max(1, int(round(size)))
                 h = depth + depth_math.expected_isolation(n_eff)
                 depths[idx] += h if w is None else w * h
     avg = depths / len(forest.trees)

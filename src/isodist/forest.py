@@ -16,13 +16,14 @@ Two tree families:
 Each tree grows from its own RNG stream spawned from (seed, tree index),
 so a tree does not depend on the trees grown before it.  How rows go down
 a node is written once, in `_sides` and `_split`: fitting uses them, and so
-does `route`, which prediction walks.
+does `route`, which `walk`, the one prediction walk, calls.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -327,19 +328,72 @@ def _draw_extended(ds, idx, rng, ndim):
     return node, _split(idx, None, left, ~left, None)
 
 
-def _grow(ds, idx, w, depth, rng, params: ForestParams):
-    """Grow a subtree on rows (idx, w); w is None for the extended model."""
-    if len(idx) > 1 and (params.max_depth is None or depth < params.max_depth):
-        if w is None:
-            drawn = _draw_extended(ds, idx, rng, params.ndim)
+def _grow(ds, idx, w, rng, params: ForestParams):
+    """Grow a tree on rows (idx, w); w is None for the extended model.
+    Splits are drawn in pre-order, left first, from an explicit stack, so
+    a tree may be deeper than Python's recursion limit."""
+    tree = None
+    stack = [(idx, w, 0, None, None)]
+    while stack:
+        idx, w, depth, parent, side = stack.pop()
+        drawn = None
+        if len(idx) > 1 and (params.max_depth is None or depth < params.max_depth):
+            if w is None:
+                drawn = _draw_extended(ds, idx, rng, params.ndim)
+            else:
+                drawn = _draw_single(ds, idx, w, rng)
+        if drawn is None:
+            node = Terminal(size=float(len(idx) if w is None else w.sum()))
         else:
-            drawn = _draw_single(ds, idx, w, rng)
-        if drawn is not None:
             node, (idx_l, w_l, idx_r, w_r) = drawn
-            node.left = _grow(ds, idx_l, w_l, depth + 1, rng, params)
-            node.right = _grow(ds, idx_r, w_r, depth + 1, rng, params)
-            return node
-    return Terminal(size=float(len(idx) if w is None else w.sum()))
+            stack.append((idx_r, w_r, depth + 1, node, "right"))
+            stack.append((idx_l, w_l, depth + 1, node, "left"))
+        if parent is None:
+            tree = node
+        else:
+            setattr(parent, side, node)
+    return tree
+
+
+def walk(tree, ds: Dataset, weighted: bool, min_rows: int):
+    """Pre-order, left-first walk of the rows of `ds` down `tree`, yielding
+    (size, idx, w, depth) for every node some row reaches; `size` is a
+    terminal's fit-time size, None at a split.  The walk descends only from
+    splits that at least `min_rows` rows reach.  A `weighted` walk starts
+    the rows of a single-variable tree with weight 1 and sends a row a
+    split cannot place down both branches.  Otherwise (and in hyperplane
+    trees) w is None, and the walk stops at the first split that sends
+    some row neither way."""
+    single = weighted and isinstance(tree, (NumericSplit, CategoricalSplit))
+    w = np.ones(ds.n_rows) if single else None
+    stack = [(tree, np.arange(ds.n_rows), w, 0)]
+    while stack:
+        node, idx, w, depth = stack.pop()
+        if not len(idx):
+            continue
+        if isinstance(node, Terminal):
+            yield node.size, idx, w, depth
+            continue
+        yield None, idx, w, depth
+        if len(idx) >= min_rows:
+            idx_l, w_l, idx_r, w_r = route(node, ds, idx, w)
+            if w is None and len(idx_l) + len(idx_r) < len(idx):
+                return
+            stack.append((node.right, idx_r, w_r, depth + 1))
+            stack.append((node.left, idx_l, w_l, depth + 1))
+
+
+def leaf_depths(tree) -> np.ndarray:
+    """Depths of the terminals of `tree`, in pre-order, left first; the
+    tree has 2 * len(result) - 1 nodes."""
+    depths, stack = [], [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, Terminal):
+            depths.append(depth)
+        else:
+            stack += [(node.right, depth + 1), (node.left, depth + 1)]
+    return np.array(depths)
 
 
 def _tree_rng(seed: int, tree_index: int):
@@ -355,7 +409,7 @@ def _grow_one(ds: Dataset, params: ForestParams, n_sub: int, tree_index: int):
     else:
         idx = np.arange(n)
     w = np.ones(len(idx)) if params.model_kind == "single" else None
-    return _grow(ds, idx, w, 0, rng, params)
+    return _grow(ds, idx, w, rng, params)
 
 
 def fit_forest(ds: Dataset, params: ForestParams, threads: int = 1) -> Forest:
@@ -558,29 +612,42 @@ def _node_from_json(obj, schema, model_kind):
 
 
 def save_model(forest: Forest, path) -> None:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "params": {
-            "n_trees": forest.params.n_trees,
-            "subsample": forest.params.subsample,
-            "ndim": forest.params.ndim,
-            "max_depth": forest.params.max_depth,
-            "seed": forest.params.seed,
-            "model_kind": forest.params.model_kind,
-        },
-        "n_sub": forest.n_sub,
-        "schema": forest.schema,
-        "trees": [_node_to_json(t) for t in forest.trees],
-    }
+    """Write `forest` as JSON.  Each tree level nests one JSON object, so
+    a tree deeper than the JSON nesting limit (Python's recursion limit)
+    raises ModelFormatError and writes nothing."""
+    try:
+        text = json.dumps(
+            {
+                "format_version": FORMAT_VERSION,
+                "params": {
+                    "n_trees": forest.params.n_trees,
+                    "subsample": forest.params.subsample,
+                    "ndim": forest.params.ndim,
+                    "max_depth": forest.params.max_depth,
+                    "seed": forest.params.seed,
+                    "model_kind": forest.params.model_kind,
+                },
+                "n_sub": forest.n_sub,
+                "schema": forest.schema,
+                "trees": [_node_to_json(t) for t in forest.trees],
+            }
+        )
+    except RecursionError as exc:
+        raise ModelFormatError(
+            f"{path}: a tree is nested deeper than the JSON nesting limit "
+            f"({sys.getrecursionlimit()}, Python's recursion limit)"
+        ) from exc
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(text)
 
 
 def load_model(path) -> Forest:
+    """Read a model written by `save_model`; every malformed file raises
+    ModelFormatError naming `path`."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: not a valid model file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise ModelFormatError(
@@ -598,12 +665,21 @@ def load_model(path) -> Forest:
             model_kind=p["model_kind"],
         )
         schema = doc["schema"]
+        for spec in schema:
+            if spec["kind"] == "categorical":
+                labels = spec["labels"]
+                ok = isinstance(labels, list) and all(type(x) is str for x in labels)
+            else:
+                ok = spec["kind"] == "numeric"
+            if not ok:
+                raise ModelFormatError(f"malformed schema column {spec!r}")
         trees = [_node_from_json(t, schema, params.model_kind) for t in doc["trees"]]
         n_sub = int(doc["n_sub"])
         forest = Forest(params=params, schema=schema, trees=trees, n_sub=n_sub)
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
-    except (KeyError, TypeError) as exc:
+    # FitError (invalid params) is a ValueError.
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: malformed model document: {exc}") from exc
     if len(forest.trees) != params.n_trees:
         raise ModelFormatError(f"{path}: tree count does not match params")

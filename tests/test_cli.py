@@ -177,6 +177,11 @@ def run_with_corrupt_model(small_csv, tmp_path, corrupt):
     doc = json.loads(model.read_text())
     corrupt(doc)
     model.write_text(json.dumps(doc))
+    return run_dist(small_csv, tmp_path, model)
+
+
+def run_dist(small_csv, tmp_path, model):
+    """`python -m isodist dist` on `small_csv` with the model file `model`."""
     src = os.path.dirname(os.path.dirname(isodist.__file__))
     return subprocess.run(
         [sys.executable, "-m", "isodist", "dist", "--input", small_csv,
@@ -192,6 +197,16 @@ def test_corrupt_model_is_runtime_error(small_csv, tmp_path):
     proc = run_with_corrupt_model(
         small_csv, tmp_path, lambda doc: doc["trees"][0].update(var=7)
     )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_deeply_nested_model_is_runtime_error(small_csv, tmp_path):
+    # The JSON parser gives up past the recursion limit.
+    model = tmp_path / "model.json"
+    model.write_text("[" * 100000)
+    proc = run_dist(small_csv, tmp_path, model)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr

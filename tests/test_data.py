@@ -5,7 +5,6 @@ from isodist.data import (
     Column,
     DataError,
     Dataset,
-    column_stats,
     deduplicate,
     load_csv,
     load_schema_sidecar,
@@ -115,40 +114,6 @@ def test_schema_sidecar(tmp_path):
     bad.write_text('{"a": "integer"}')
     with pytest.raises(DataError):
         load_schema_sidecar(bad)
-
-
-def test_column_stats_basic():
-    col = Column("numeric", np.array([1.0, 2.0, 3.0]), np.zeros(3, dtype=bool))
-    st = column_stats(col, [0, 1, 2])
-    assert (st.min, st.max, st.median) == (1.0, 3.0, 2.0)
-    assert st.n_present == 3
-
-
-def test_column_stats_even_count_median():
-    col = Column("numeric", np.arange(1.0, 5.0), np.zeros(4, dtype=bool))
-    assert column_stats(col, [0, 1, 2, 3]).median == 2.5
-
-
-def test_column_stats_with_missing():
-    col = Column("numeric", np.array([5.0, 0.0]), np.array([False, True]))
-    st = column_stats(col, [0, 1])
-    assert st.n_present == 1
-    assert st.min == st.max == st.median == 5.0
-
-
-def test_column_stats_all_missing():
-    col = Column("numeric", np.zeros(2), np.ones(2, dtype=bool))
-    assert column_stats(col, [0, 1]).n_present == 0
-
-
-def test_column_stats_permutation_invariant():
-    rng = np.random.default_rng(0)
-    col = Column("numeric", rng.standard_normal(20), rng.random(20) < 0.3)
-    a = column_stats(col, np.arange(20))
-    b = column_stats(col, rng.permutation(20))
-    assert (a.min, a.max, a.median, a.n_present) == (b.min, b.max, b.median, b.n_present)
-    assert a.mean == pytest.approx(b.mean, rel=1e-12)
-    assert a.std == pytest.approx(b.std, rel=1e-12)
 
 
 def _two_col_dataset(values, missing):

@@ -104,6 +104,8 @@ def test_separation_depth_counts_shared_nodes():
     ds = numeric_dataset([[0.0, 1.0]])
     D = tree_depth_sums(hand_forest([tree]), tree, ds)
     assert D[0, 1] == 2.0
+    # A row counts only the nodes it shares with another row.
+    assert np.array_equal(np.diag(D), [2.0, 2.0])
 
 
 @pytest.mark.parametrize("kind", ["numeric", "categorical"])

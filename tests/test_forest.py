@@ -1,12 +1,16 @@
 import json
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isodist.bench import generate_scenario
 from isodist.data import Column, Dataset
 from isodist.distance import anomaly_scores, separation_matrix
+from isodist import forest as forest_mod
 from isodist.forest import (
     CategoricalSplit,
     FitError,
@@ -17,10 +21,12 @@ from isodist.forest import (
     Terminal,
     _draw_threshold,
     fit_forest,
+    leaf_depths,
     load_model,
     remap_dataset,
     route,
     save_model,
+    walk,
 )
 
 
@@ -39,11 +45,11 @@ def normal_ds():
     return numeric_dataset([rng.standard_normal(200), rng.standard_normal(200)])
 
 
-def walk(node):
+def nodes(node):
     yield node
     if getattr(node, "left", None) is not None:
-        yield from walk(node.left)
-        yield from walk(node.right)
+        yield from nodes(node.left)
+        yield from nodes(node.right)
 
 
 def test_fit_requires_two_rows():
@@ -91,7 +97,7 @@ def test_full_depth_terminals_isolate_rows(normal_ds):
     # Continuous data, unlimited depth: every terminal holds one point.
     forest = fit_forest(normal_ds, ForestParams(n_trees=3, seed=7))
     for tree in forest.trees:
-        for node in walk(tree):
+        for node in nodes(tree):
             if isinstance(node, Terminal):
                 assert node.size == pytest.approx(1.0)
 
@@ -101,7 +107,7 @@ def test_numeric_threshold_strictly_inside_range(normal_ds):
     lo = min(c.values.min() for c in normal_ds.columns)
     hi = max(c.values.max() for c in normal_ds.columns)
     for tree in forest.trees:
-        for node in walk(tree):
+        for node in nodes(tree):
             if isinstance(node, NumericSplit):
                 assert lo <= node.threshold < hi
 
@@ -118,7 +124,7 @@ def test_categorical_split_is_proper_subset():
     forest = fit_forest(ds, ForestParams(n_trees=5, seed=1))
     seen_cat = 0
     for tree in forest.trees:
-        for node in walk(tree):
+        for node in nodes(tree):
             if isinstance(node, CategoricalSplit):
                 seen_cat += 1
                 n_left = node.left_set.sum()
@@ -213,7 +219,7 @@ def test_affine_equivariant_structure(normal_ds):
     f1 = fit_forest(normal_ds, params)
     f2 = fit_forest(transformed, params)
     for t1, t2 in zip(f1.trees, f2.trees):
-        for n1, n2 in zip(walk(t1), walk(t2)):
+        for n1, n2 in zip(nodes(t1), nodes(t2)):
             assert type(n1) is type(n2)
             if isinstance(n1, NumericSplit):
                 assert n1.var == n2.var
@@ -239,7 +245,7 @@ def test_extended_handles_mixed_columns():
     )
     mixed = 0
     for tree in forest.trees:
-        for node in walk(tree):
+        for node in nodes(tree):
             if isinstance(node, HyperplaneSplit) and node.num_vars and node.cat_vars:
                 mixed += 1
     assert mixed > 0
@@ -363,6 +369,19 @@ MUTATIONS = {
         "extended",
         lambda d: first_node(d, "hyp", lambda n: n["cat_vars"])["cat_coefs"][0]
         .__setitem__("-1", 0.5)),
+    # Parameters that fail to parse or that ForestParams refuses.
+    "tree count not a number": ("single", lambda d: d["params"].update(n_trees="x")),
+    "tree count infinite": (
+        "single", lambda d: d["params"].update(n_trees=float("inf"))),
+    "subsample size not a number": ("single", lambda d: d.update(n_sub="x")),
+    "ndim 0": ("extended", lambda d: d["params"].update(ndim=0)),
+    "no trees": ("single", lambda d: d["params"].update(n_trees=0)),
+    "unknown model kind": ("single", lambda d: d["params"].update(model_kind="foo")),
+    # Columns no split uses: remap_dataset reads them all.
+    "unknown column kind": (
+        "single", lambda d: d["schema"].append({"name": "z", "kind": "text"})),
+    "categorical labels not a list": (
+        "single", lambda d: d["schema"].append({"kind": "categorical", "labels": 5})),
 }
 
 
@@ -453,3 +472,170 @@ def test_schema_mismatch_rejected(normal_ds):
     )
     with pytest.raises(FitError):
         remap_dataset(forest, bad)
+
+
+def two_split_tree(right_var=0, right_threshold=2.0):
+    """x0 <= 0.5 goes left to a terminal; the right child splits again on
+    column `right_var`."""
+    right = NumericSplit(var=right_var, threshold=right_threshold, left_fraction=0.5,
+                         left=Terminal(1.0), right=Terminal(1.0))
+    return NumericSplit(var=0, threshold=0.5, left_fraction=0.5,
+                        left=Terminal(2.0), right=right)
+
+
+def leaf_order(tree, ds, min_rows=2):
+    """Rows of the nodes an unweighted walk does not descend from, in walk
+    order."""
+    return np.concatenate([
+        idx for size, idx, _, _ in walk(tree, ds, False, min_rows)
+        if size is not None or len(idx) < min_rows
+    ])
+
+
+def walked(tree, ds, weighted, min_rows):
+    """(size, rows, weights, depth) of each node `walk` yields, as lists."""
+    return [
+        (size, idx.tolist(), None if w is None else w.tolist(), depth)
+        for size, idx, w, depth in walk(tree, ds, weighted, min_rows)
+    ]
+
+
+def test_walk_yields_nodes_in_pre_order():
+    ds = numeric_dataset([[3.0, 0.0, 1.0, 0.2, 5.0]])
+    assert walked(two_split_tree(), ds, False, 2) == [
+        (None, [0, 1, 2, 3, 4], None, 0),
+        (2.0, [1, 3], None, 1),
+        (None, [0, 2, 4], None, 1),
+        (1.0, [2], None, 2),
+        (1.0, [0, 4], None, 2),
+    ]
+    assert leaf_order(two_split_tree(), ds).tolist() == [1, 3, 2, 0, 4]
+
+
+@pytest.mark.parametrize("kind, ndim", [("single", 1), ("extended", 2)], ids=["single", "extended"])
+def test_leaf_order_is_a_permutation(normal_ds, kind, ndim):
+    forest = fit_forest(normal_ds, ForestParams(n_trees=3, seed=4, model_kind=kind,
+                                                ndim=ndim, subsample=64))
+    for tree in forest.trees:
+        order = leaf_order(tree, normal_ds)
+        assert np.array_equal(np.sort(order), np.arange(normal_ds.n_rows))
+
+
+def test_unweighted_walk_stops_where_a_row_is_missing():
+    # Row 2 reaches the right split, whose column it lacks.
+    ds = numeric_dataset([[0.0, 3.0, 4.0], [1.0, 0.0, 0.0]],
+                         missing=[[False] * 3, [False, False, True]])
+    tree = two_split_tree(right_var=1, right_threshold=0.5)
+    assert walked(tree, ds, False, 2) == [
+        (None, [0, 1, 2], None, 0), (2.0, [0], None, 1), (None, [1, 2], None, 1),
+    ]
+    # A weighted walk sends row 2 down both branches instead.
+    assert walked(tree, ds, True, 2)[3:] == [
+        (1.0, [1, 2], [1.0, 0.5], 2), (1.0, [2], [0.5], 2),
+    ]
+
+
+def test_one_row_node_is_yielded_but_not_descended():
+    ds = numeric_dataset([[0.0, 3.0]])
+    reached = [(None, [0, 1], None, 0), (2.0, [0], None, 1), (None, [1], None, 1)]
+    assert walked(two_split_tree(), ds, False, 2) == reached
+    assert walked(two_split_tree(), ds, False, 1) == reached + [(1.0, [1], None, 2)]
+
+
+def recursive_leaf_depths(node, depth=0):
+    if isinstance(node, Terminal):
+        return [depth]
+    return (recursive_leaf_depths(node.left, depth + 1)
+            + recursive_leaf_depths(node.right, depth + 1))
+
+
+@pytest.mark.parametrize("kind, ndim", [("single", 1), ("extended", 3)], ids=["single", "extended"])
+def test_leaf_depths_match_recursive_reference(kind, ndim):
+    ds = generate_scenario("mixed", 150, np.random.default_rng(8))["dataset"]
+    forest = fit_forest(ds, ForestParams(n_trees=4, seed=9, model_kind=kind, ndim=ndim))
+    for tree in forest.trees:
+        depths = leaf_depths(tree)
+        assert depths.tolist() == recursive_leaf_depths(tree)
+        assert 2 * len(depths) - 1 == sum(1 for _ in nodes(tree))
+
+
+def recursive_grow(ds, idx, w, depth, rng, params):
+    """The recursive grower that `forest._grow` replaces."""
+    if len(idx) > 1 and (params.max_depth is None or depth < params.max_depth):
+        if w is None:
+            drawn = forest_mod._draw_extended(ds, idx, rng, params.ndim)
+        else:
+            drawn = forest_mod._draw_single(ds, idx, w, rng)
+        if drawn is not None:
+            node, (idx_l, w_l, idx_r, w_r) = drawn
+            node.left = recursive_grow(ds, idx_l, w_l, depth + 1, rng, params)
+            node.right = recursive_grow(ds, idx_r, w_r, depth + 1, rng, params)
+            return node
+    return Terminal(size=float(len(idx) if w is None else w.sum()))
+
+
+@pytest.mark.parametrize("kind, ndim", [("single", 1), ("extended", 2)], ids=["single", "extended"])
+def test_grower_draws_in_recursive_order(kind, ndim):
+    # Same draws in the same order, so saved models do not change.
+    ds = generate_scenario("mixed", 120, np.random.default_rng(12))["dataset"]
+    params = ForestParams(n_trees=2, seed=3, model_kind=kind, ndim=ndim, max_depth=6)
+    for k, tree in enumerate(fit_forest(ds, params).trees):
+        w = np.ones(ds.n_rows) if kind == "single" else None
+        rng = forest_mod._tree_rng(3, k)
+        want = recursive_grow(ds, np.arange(ds.n_rows), w, 0, rng, params)
+        assert forest_mod._node_to_json(tree) == forest_mod._node_to_json(want)
+
+
+def test_tree_deeper_than_the_recursion_limit(tmp_path):
+    # A uniform threshold on a geometric column mostly splits off the top
+    # row, so the tree is about as deep as the column is long.
+    x = 2.0 ** np.linspace(-1070, 1020, 3000)
+    ds = numeric_dataset([x])
+    forest = fit_forest(ds, ForestParams(n_trees=1, seed=0))
+    assert leaf_depths(forest.trees[0]).max() > sys.getrecursionlimit()
+    scores = anomaly_scores(forest, ds)
+    assert np.all((scores > 0) & (scores <= 1))
+    path = tmp_path / "model.json"
+    with pytest.raises(ModelFormatError, match="JSON nesting limit"):
+        save_model(forest, path)
+    assert not path.exists()
+
+
+def test_load_rejects_deeply_nested_json(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[" * 100000)
+    with pytest.raises(ModelFormatError, match=str(path)):
+        load_model(path)
+
+
+@pytest.fixture(scope="module")
+def small_models(tmp_path_factory):
+    """The bytes of small saved single and extended models over a mixed
+    table with missing cells, and a path to write mutants to."""
+    ds = generate_scenario("mixed", 10, np.random.default_rng(4))["dataset"]
+    out = {"path": tmp_path_factory.mktemp("fuzz") / "model.json"}
+    for kind, ndim in (("single", 1), ("extended", 2)):
+        save_model(fit_forest(ds, ForestParams(n_trees=2, seed=1, model_kind=kind,
+                                               ndim=ndim)), out["path"])
+        out[kind] = out["path"].read_bytes()
+    return out
+
+
+@settings(max_examples=300)
+@given(
+    kind=st.sampled_from(["single", "extended"]),
+    # An offset into the params and schema, which come first, or a
+    # fraction of the file.
+    at=st.integers(0, 255) | st.floats(0, 1, exclude_max=True),
+    byte=st.none() | st.sampled_from(b'0-9."[]{}:,etfnx ') | st.integers(0, 255),
+)
+def test_mutated_model_loads_or_raises_model_format_error(small_models, kind, at, byte):
+    # byte None truncates the file at `at`; otherwise one byte there changes.
+    data = small_models[kind]
+    pos = at if isinstance(at, int) else int(at * len(data))
+    mutant = data[:pos] if byte is None else data[:pos] + bytes([byte]) + data[pos + 1:]
+    small_models["path"].write_bytes(mutant)
+    try:
+        load_model(small_models["path"])
+    except ModelFormatError:
+        pass
