@@ -141,9 +141,13 @@ def load_csv(
     column being numeric iff every non-missing cell parses as a real.
     Empty cells and any token in `missing_tokens` parse as missing.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: malformed CSV: {exc}") from None
     if not rows:
         raise DataError(f"{path}: empty file")
     if has_header:

@@ -9,31 +9,44 @@ split never saw go down both branches with weights scaled by the stored
 left-branch proportion (single-variable trees) or contribute their stored
 median imputation to the hyperplane projection (extended trees).
 
-`separation_matrix` sums each tree's pair depths by one of two paths,
-both reading the tree through `forest.walk`, the one row walk:
+Everything here reads the forest as the flat arrays of
+`forest.flat_forest`, and rows reach nodes through `forest.descend`, which
+moves (row, node, weight) triples down all trees one depth level at a
+time.  `separation_matrix` sums each tree's pair depths by one of two
+paths:
 
-* Trees that send every row one way at every node (all extended trees,
-  and single-variable trees on rows without missing cells or categories
-  a node never saw) take the leaf-order kernel.  The rows of the nodes
-  the walk does not descend from, concatenated, are the leaf order, in
-  which every node is one block.  A terminal at depth d fills its block
-  with d + 3; a split at depth d fills the two blocks between its
-  children with d + 1 once its first child, next in pre-order, shows
-  where its rows divide.  Each off-diagonal cell of an int32 scratch is
-  written once, then gathered into an int32 accumulator.
-* A tree whose unweighted walk stops at a split that sends some row
-  neither way (it needs both-branch weights) is accumulated with
-  weights, node by node, into a float64 accumulator (`_acc_depths`,
-  which `tree_depth_sums` also uses).
+* A tree where no split that two rows reach sends one of them neither
+  way (all extended trees, and single-variable trees on rows without
+  missing cells or categories a node never saw) takes the leaf-order
+  kernel.  An unweighted descent gives each row the node where it ends;
+  sorted by that node, the rows are in leaf order, in which every node's
+  rows form one block [s, e), found by `searchsorted` against the node
+  ids and their subtree ends.  A terminal at depth d fills its block with
+  d + 3; a split at depth d fills the two blocks between its children,
+  [s, m) and [m, e), with d + 1.  Each off-diagonal cell of an int32
+  scratch is written once, then gathered into an int32 accumulator.
+  Trees are routed in batches of about ROUTE_TRIPLES triples per level.
+* Any other tree is summed with weights, as the sparse product
+  M diag(c) M^T (the proximity product of RF-GAP, Rhodes, Cutler and Moon,
+  arXiv:2201.12682): M holds the weight with which each row reaches each
+  node, and c is 1 at a split, 3 at a terminal and 0 at a node fewer than
+  two rows reach.  It is made a block of rows at a time and added into a
+  float64 accumulator (`_add_weighted`, which `tree_depth_sums` also
+  uses).
 
 Trees are summed one after another into one set of accumulators: an
 int32 n x n accumulator and two int32 n x n scratch blocks, plus a
-float64 n x n accumulator once a tree takes the weighted path, which also
-makes n x n float64 temporaries at nodes near the root.  Only the
-n(n-1)/2 upper cells become float64, at the end.  Before allocating,
-`separation_matrix` estimates these four arrays and the float64 result;
-if that exceeds the memory available to the process it raises `FitError`
-naming both byte counts.
+float64 n x n accumulator once a tree takes the weighted path, whose
+sparse product then holds at most one block of BLOCK_CELLS cells (or of
+one row) as sparse and dense values.  Only the n(n-1)/2 upper cells
+become float64, at the end.  Before allocating, `separation_matrix`
+estimates these arrays, the block and the float64 result; if that exceeds
+the memory available to the process it raises `FitError` naming both byte
+counts.
+
+`anomaly_scores` descends all trees at once with weights and adds each
+terminal's w * h, h its isolation depth, to its row in tree order and
+then pre-order, as a tree-by-tree walk would.
 
 Depth sums are averaged over trees and squashed through
 2^(-(avg-1)/2), giving distances in (0, 1] with 0.5 the expected value
@@ -45,10 +58,11 @@ true duplicates.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from . import depth as depth_math
 from .data import Dataset, deduplicate
-from .forest import FitError, Forest, remap_dataset, walk
+from .forest import TERMINAL, FitError, FlatForest, Forest, descend, flat_forest, remap_dataset
 from .matrix import CondensedMatrix
 
 # The int32 sums move into the float64 sums before the next tree could
@@ -59,14 +73,43 @@ INT32_MAX = int(np.iinfo(np.int32).max)
 # blocks, float64 accumulator.
 CELL_BYTES = 4 + 4 + 4 + 8
 
+# A weighted tree's sparse product is made a block of rows of about this
+# many cells at a time: 8 bytes of value and 4 of column index per cell,
+# then 8 bytes per cell as a dense block.
+BLOCK_CELLS = 1 << 16
+BLOCK_CELL_BYTES = 8 + 4 + 8
 
-def _acc_depths(tree, ds: Dataset, D):
-    """Add one tree's pair depth sums into D: w_i*w_j for every shared node,
-    3*w_i*w_j for a shared terminal."""
-    for size, idx, w, _ in walk(tree, ds, True, 2):
-        if len(idx) >= 2:
-            cell = 1.0 if w is None else np.outer(w, w)
-            D[np.ix_(idx, idx)] += cell if size is None else 3.0 * cell
+# Kernel trees are routed together, as many at once as keep the triples of
+# one level below this count.
+ROUTE_TRIPLES = 1 << 16
+
+
+def _add_weighted(flat: FlatForest, t: int, ds: Dataset, D) -> None:
+    """Add tree t's pair depth sums into the square D: w_i*w_j for every
+    node both rows reach, 3*w_i*w_j for a terminal.  With M the rows x
+    nodes weight matrix, that is M diag(c) M^T with c = 1 at a split, 3 at
+    a terminal and 0 at a node fewer than two rows reach."""
+    rows, nodes, w = descend(flat, ds, range(t, t + 1), True, every_node=True)
+    local = nodes - flat.roots[t]
+    size = int(flat.roots[t + 1] - flat.roots[t])
+    c = np.where(flat.kind[flat.roots[t] : flat.roots[t + 1]] == TERMINAL, 3.0, 1.0)
+    c[np.bincount(local, minlength=size) < 2] = 0.0
+    keep = c[local] > 0
+    rows, local, w = rows[keep], local[keep], w[keep]
+    # Columns in node order within each row, so each cell sums its nodes
+    # root first.
+    m = sparse.csr_matrix((w, (rows, local)), shape=(ds.n_rows, size))
+    m.sort_indices()
+    mt = m.T.tocsr()
+    m.data *= c[m.indices]  # now M diag(c)
+    step = _block_rows(ds.n_rows)
+    for a in range(0, ds.n_rows, step):
+        D[a : a + step] += (m[a : a + step] @ mt).toarray()
+
+
+def _block_rows(n: int) -> int:
+    """Rows of one block of a weighted tree's sparse product."""
+    return min(n, max(1, BLOCK_CELLS // n))
 
 
 def _tree_sums(forest: Forest, ds: Dataset) -> np.ndarray:
@@ -74,53 +117,69 @@ def _tree_sums(forest: Forest, ds: Dataset) -> np.ndarray:
 
     Trees the leaf-order kernel takes add into int32 `counts`, the others
     into float64 `sums`; each is allocated when a tree first needs it."""
+    flat = flat_forest(forest)
     n = ds.n_rows
+    n_trees = len(forest.trees)
     counts = sums = None
     leaf = np.empty((n, n), dtype=np.int32)
     bound = 0  # the largest value a cell of `counts` can hold
-    for tree in forest.trees:
-        # `leaf` takes the pair depths in leaf order: the rows of the nodes
-        # the walk does not descend from, concatenated.  A terminal fills
-        # its own block; a split's first child with rows comes next in
-        # pre-order and marks where the split's rows divide.
-        order, placed, top, split = [], 0, 0, None
-        for size, idx, _, depth in walk(tree, ds, False, 2):
-            k = len(idx)
-            if split is not None:
-                s, e, d = split
-                leaf[s : s + k, s + k : e] = d
-                leaf[s + k : e, s : s + k] = d
-                top, split = max(top, d), None
-            if size is None and k >= 2:
-                split = (placed, placed + k, depth + 1)
+    batch = max(1, ROUTE_TRIPLES // n)
+    for t0 in range(0, n_trees, batch):
+        trees = range(t0, min(t0 + batch, n_trees))
+        # Each row ends once per tree: at a terminal, or at a split that
+        # cannot place it.  Sorted by end node, tree t's rows are
+        # `rows[k * n : (k + 1) * n]` in its leaf order, in which every
+        # node's rows form one block.
+        rows, ends, _ = descend(flat, ds, trees, False)
+        order = np.argsort(ends, kind="stable")
+        rows, ends = rows[order], ends[order]
+        for k, t in enumerate(trees):
+            keys = ends[k * n : (k + 1) * n]
+            ids = np.arange(flat.roots[t], flat.roots[t + 1])
+            s = np.searchsorted(keys, ids)
+            e = np.searchsorted(keys, flat.end[ids])
+            shared = e - s >= 2
+            # A row some other row reaches a split with, that the split
+            # cannot place, needs both-branch weights: the weighted path.
+            stops = keys[flat.kind[keys] != TERMINAL]
+            if shared[stops - flat.roots[t]].any():
+                if sums is None:
+                    sums = np.zeros((n, n))
+                _add_weighted(flat, t, ds, sums)
                 continue
-            if k >= 2:
-                leaf[placed : placed + k, placed : placed + k] = depth + 3
-                top = max(top, depth + 3)
-            order.append(idx)
-            placed += k
-        if placed < n:  # the walk stopped: some row needs both-branch weights
-            if sums is None:
-                sums = np.zeros((n, n))
-            _acc_depths(tree, ds, sums)
-            continue
-        if counts is None:
-            counts = np.zeros((n, n), dtype=np.int32)
-            scratch = np.empty_like(counts)
-        if bound + top > INT32_MAX:
-            if sums is None:
-                sums = np.zeros((n, n))
-            sums += counts
-            counts[:] = 0
-            bound = 0
-        bound += top
-        inv = np.empty(n, dtype=np.intp)
-        inv[np.concatenate(order)] = np.arange(n)
-        np.take(leaf, inv, axis=0, out=scratch)
-        np.take(scratch, inv, axis=1, out=leaf)
-        counts += leaf
+            ids, s, e = ids[shared], s[shared], e[shared]
+            d = flat.depth[ids]
+            term = flat.kind[ids] == TERMINAL
+            top = int(np.where(term, d + 3, d + 1).max(initial=0))
+            # `leaf` takes the pair depths in leaf order: a terminal at
+            # depth d fills its block with d + 3, a split the two blocks
+            # between its children with d + 1; its right child's rows
+            # start at m.
+            for s_, e_, d_ in zip(s[term].tolist(), e[term].tolist(), d[term].tolist()):
+                leaf[s_:e_, s_:e_] = d_ + 3
+            split = ~term
+            m = np.searchsorted(keys, flat.end[ids[split] + 1])
+            for s_, m_, e_, d_ in zip(s[split].tolist(), m.tolist(), e[split].tolist(),
+                                      d[split].tolist()):
+                leaf[s_:m_, m_:e_] = d_ + 1
+                leaf[m_:e_, s_:m_] = d_ + 1
+            if counts is None:
+                counts = np.zeros((n, n), dtype=np.int32)
+                scratch = np.empty_like(counts)
+            if bound + top > INT32_MAX:
+                if sums is None:
+                    sums = np.zeros((n, n))
+                sums += counts
+                counts[:] = 0
+                bound = 0
+            bound += top
+            inv = np.empty(n, dtype=np.intp)
+            inv[rows[k * n : (k + 1) * n]] = np.arange(n)
+            np.take(leaf, inv, axis=0, out=scratch)
+            np.take(scratch, inv, axis=1, out=leaf)
+            counts += leaf
     # Float sums first: a forest without kernel trees then adds exactly as
-    # the node-by-node accumulation always has.
+    # the weighted path always has.
     if sums is None:
         return _upper(counts)
     total = _upper(sums)
@@ -165,8 +224,11 @@ def tree_depth_sums(forest: Forest, tree, ds: Dataset) -> np.ndarray:
     (no deduplication), each with initial weight 1.
     """
     ds = remap_dataset(forest, ds)
+    t = next((k for k, u in enumerate(forest.trees) if u is tree), None)
+    if t is None:
+        raise ValueError("tree is not one of forest.trees")
     D = np.zeros((ds.n_rows, ds.n_rows))
-    _acc_depths(tree, ds, D)
+    _add_weighted(flat_forest(forest), t, ds, D)
     return D
 
 
@@ -188,7 +250,8 @@ def separation_matrix(forest: Forest, ds: Dataset, threads: int = 1) -> Condense
     n = ds.n_rows
     if rep_ds.n_rows < 2:
         return CondensedMatrix(n)  # all rows identical
-    need = CELL_BYTES * rep_ds.n_rows**2 + 8 * (n * (n - 1) // 2)
+    r = rep_ds.n_rows
+    need = CELL_BYTES * r * r + BLOCK_CELL_BYTES * _block_rows(r) * r + 8 * (n * (n - 1) // 2)
     available = _available_bytes()
     if available is not None and need > available:
         raise FitError(
@@ -217,13 +280,12 @@ def anomaly_scores(forest: Forest, ds: Dataset) -> np.ndarray:
     standardized against the expectation for the fitted subsample size.
     """
     ds = remap_dataset(forest, ds)
+    flat = flat_forest(forest)
+    rows, nodes, w = descend(flat, ds, range(len(forest.trees)), True)
+    # Each row adds its terminals' w * h in node order, which is tree
+    # order, then pre-order within a tree.
+    order = np.argsort(nodes, kind="stable")
     depths = np.zeros(ds.n_rows)
-    for tree in forest.trees:
-        for size, idx, w, depth in walk(tree, ds, True, 1):
-            if size is not None:
-                # A row reaches a node at most once, so no np.add.at.
-                n_eff = max(1, int(round(size)))
-                h = depth + depth_math.expected_isolation(n_eff)
-                depths[idx] += h if w is None else w * h
+    np.add.at(depths, rows[order], w[order] * flat.value[nodes[order]])
     avg = depths / len(forest.trees)
     return depth_math.standardize_isolation(avg, max(2, forest.n_sub))

@@ -14,9 +14,17 @@ Two tree families:
   observed contributions, so every row routes deterministically.
 
 Each tree grows from its own RNG stream spawned from (seed, tree index),
-so a tree does not depend on the trees grown before it.  How rows go down
-a node is written once, in `_sides` and `_split`: fitting uses them, and so
-does `route`, which `walk`, the one prediction walk, calls.
+so a tree does not depend on the trees grown before it.  Fitting sends
+rows down a node with `_sides` and `_split`.  The node dataclasses are the
+fit's output and the model file's content.
+
+Prediction reads no node object.  `flat_forest` compiles a forest's trees
+once into flat pre-order arrays (`FlatForest`), kept on the forest until
+its list of trees changes, and `descend` moves (row, node, weight) triples
+down all trees one depth level at a time, by the fit's rules: numeric
+threshold, categorical subset, both branches with weights b and 1 - b for
+a row a single-variable split cannot place, the WEIGHT_FLOOR drop, and the
+hyperplane projection with stored imputations.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import depth as depth_math
 from .data import UNSEEN_CODE, Column, Dataset
 
 FORMAT_VERSION = 1
@@ -49,14 +58,14 @@ class ModelFormatError(ValueError):
     """Model file is malformed or has an unsupported version."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Terminal:
     # Remaining point count at fit time (weight mass for single-variable
     # trees); feeds the expected-isolation continuation for anomaly scores.
     size: float
 
 
-@dataclass
+@dataclass(slots=True)
 class NumericSplit:
     var: int
     threshold: float
@@ -65,7 +74,7 @@ class NumericSplit:
     right: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class CategoricalSplit:
     var: int
     left_set: np.ndarray  # bool, indexed by category code
@@ -75,7 +84,7 @@ class CategoricalSplit:
     right: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class HyperplaneSplit:
     num_vars: list[int]
     num_coefs: list[float]
@@ -114,6 +123,8 @@ class Forest:
     schema: list[dict]  # per column: {name, kind, labels}
     trees: list = field(default_factory=list)
     n_sub: int = 0
+    # The trees compiled into flat arrays by `flat_forest`, on first use.
+    _flat: FlatForest | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _var_is_eligible(col: Column, idx: np.ndarray):
@@ -200,38 +211,6 @@ def _split(idx, w, left, right, b):
     keep_l = w_l >= WEIGHT_FLOOR
     keep_r = w_r >= WEIGHT_FLOOR
     return idx_l[keep_l], w_l[keep_l], idx_r[keep_r], w_r[keep_r]
-
-
-def _project_extended(node: HyperplaneSplit, ds, idx):
-    """Recompute the hyperplane projection for rows `idx`; unknown cells
-    (missing, or categories without a stored coefficient) contribute the
-    stored imputation value."""
-    y = np.zeros(len(idx))
-    for var, coef, r in zip(node.num_vars, node.num_coefs, node.num_imputes):
-        col = ds.columns[var]
-        vals = col.values[idx]
-        known = ~col.missing[idx]
-        y += np.where(known, coef * vals, r)
-    for var, coefs, r in zip(node.cat_vars, node.cat_coefs, node.cat_imputes):
-        col = ds.columns[var]
-        vals = col.values[idx]
-        in_domain = ~col.missing[idx] & (vals >= 0) & (vals < len(coefs))
-        contrib = np.full(len(idx), r)
-        picked = coefs[vals[in_domain]]
-        contrib[in_domain] = np.where(np.isnan(picked), r, picked)
-        y += contrib
-    return y
-
-
-def route(node, ds: Dataset, idx: np.ndarray, w):
-    """Rows (idx, w) that split `node` sends left and right, as
-    (idx_l, w_l, idx_r, w_r).  Weights are None for hyperplane nodes."""
-    if isinstance(node, HyperplaneSplit):
-        left = _project_extended(node, ds, idx) <= node.threshold
-        return _split(idx, None, left, ~left, None)
-    col = ds.columns[node.var]
-    left, right = _sides(node, col.values[idx], ~col.missing[idx])
-    return _split(idx, w, left, right, node.left_fraction)
 
 
 def _draw_single(ds, idx, w, rng):
@@ -355,34 +334,6 @@ def _grow(ds, idx, w, rng, params: ForestParams):
     return tree
 
 
-def walk(tree, ds: Dataset, weighted: bool, min_rows: int):
-    """Pre-order, left-first walk of the rows of `ds` down `tree`, yielding
-    (size, idx, w, depth) for every node some row reaches; `size` is a
-    terminal's fit-time size, None at a split.  The walk descends only from
-    splits that at least `min_rows` rows reach.  A `weighted` walk starts
-    the rows of a single-variable tree with weight 1 and sends a row a
-    split cannot place down both branches.  Otherwise (and in hyperplane
-    trees) w is None, and the walk stops at the first split that sends
-    some row neither way."""
-    single = weighted and isinstance(tree, (NumericSplit, CategoricalSplit))
-    w = np.ones(ds.n_rows) if single else None
-    stack = [(tree, np.arange(ds.n_rows), w, 0)]
-    while stack:
-        node, idx, w, depth = stack.pop()
-        if not len(idx):
-            continue
-        if isinstance(node, Terminal):
-            yield node.size, idx, w, depth
-            continue
-        yield None, idx, w, depth
-        if len(idx) >= min_rows:
-            idx_l, w_l, idx_r, w_r = route(node, ds, idx, w)
-            if w is None and len(idx_l) + len(idx_r) < len(idx):
-                return
-            stack.append((node.right, idx_r, w_r, depth + 1))
-            stack.append((node.left, idx_l, w_l, depth + 1))
-
-
 def leaf_depths(tree) -> np.ndarray:
     """Depths of the terminals of `tree`, in pre-order, left first; the
     tree has 2 * len(result) - 1 nodes."""
@@ -434,6 +385,294 @@ def fit_forest(ds: Dataset, params: ForestParams, threads: int = 1) -> Forest:
         for name, c in zip(ds.names, ds.columns)
     ]
     return Forest(params=params, schema=schema, trees=trees, n_sub=n_sub)
+
+
+# ---------------------------------------------------------------------------
+# Prediction: the trees as flat pre-order arrays, and one level-wise router.
+
+# Node kinds in `FlatForest.kind`.
+TERMINAL, NUMERIC, CATEGORICAL, HYPERPLANE = range(4)
+
+
+@dataclass
+class FlatForest:
+    """A forest's trees as flat arrays, numbered in pre-order, left first,
+    tree after tree: tree t holds nodes [roots[t], roots[t + 1]).  The
+    subtree of node i ends before `end[i]`, so the left child of split i is
+    i + 1 and its right child end[i + 1]."""
+
+    trees: tuple  # the tree objects compiled, to tell when they change
+    roots: np.ndarray  # int64, n_trees + 1 entries
+    kind: np.ndarray  # int8: TERMINAL, NUMERIC, CATEGORICAL or HYPERPLANE
+    var: np.ndarray  # int32: the column of a numeric or categorical split
+    # int32: a categorical split's row of `sides`, a hyperplane's index
+    # into `num_ptr`/`cat_ptr`
+    slot: np.ndarray
+    # float64: a split's threshold; a terminal's isolation depth, its depth
+    # plus the expected isolation among its fit-time size
+    value: np.ndarray
+    left_fraction: np.ndarray  # float64: b, the weight share sent left
+    end: np.ndarray  # int32
+    depth: np.ndarray  # int32
+    # bool (categorical splits, 2, codes): [k, 0] the codes sent left,
+    # [k, 1] those sent right; codes in neither go both ways
+    sides: np.ndarray
+    # Hyperplane terms: terms num_ptr[h]:num_ptr[h + 1] are hyperplane h's
+    # numeric ones, cat_ptr[h]:cat_ptr[h + 1] its categorical ones.
+    num_ptr: np.ndarray
+    num_var: np.ndarray
+    num_coef: np.ndarray
+    num_impute: np.ndarray
+    cat_ptr: np.ndarray
+    cat_var: np.ndarray
+    cat_coef: np.ndarray  # float64 (terms, codes), NaN where absent
+    cat_impute: np.ndarray
+
+
+_KIND = {Terminal: TERMINAL, NumericSplit: NUMERIC, CategoricalSplit: CATEGORICAL,
+         HyperplaneSplit: HYPERPLANE}
+
+
+def _shape(kind: np.ndarray, start: int):
+    """(end, depth) of one pre-order tree, given its node kinds and the id
+    of its root.
+
+    With s the count of splits less terminals before a node, a subtree
+    starting at i ends at the first e > i where s = s[i] - 1."""
+    n = len(kind)
+    s = np.concatenate([[0], np.cumsum(np.where(kind == TERMINAL, -1, 1))])
+    # Positions sorted by (s, position): the first position after i with
+    # s[i] - 1 is one searchsorted away.
+    keys = np.sort(s * (n + 1) + np.arange(n + 1))
+    base = (s[:-1] - 1) * (n + 1)
+    end = keys[np.searchsorted(keys, base + np.arange(1, n + 1))] - base
+    # Depth by pointer jumping up the parent links: split i is the parent
+    # of i + 1 and of end[i + 1], and the root is its own parent.
+    split = np.flatnonzero(kind != TERMINAL)
+    up = np.arange(n)
+    up[split + 1] = split
+    up[end[split + 1]] = split
+    depth = (up != np.arange(n)).astype(np.int32)
+    while True:
+        nxt = up[up]
+        if np.array_equal(nxt, up):
+            break
+        depth += depth[up]
+        up = nxt
+    return end + start, depth
+
+
+def _compile(trees) -> FlatForest:
+    """`trees` as a FlatForest: one iterative pre-order pass per tree
+    collects the nodes, then each field is gathered per node kind."""
+    nodes, roots = [], []
+    for tree in trees:
+        roots.append(len(nodes))
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            if type(node) is not Terminal:
+                stack += (node.right, node.left)
+    n = len(nodes)
+    kind = np.fromiter((_KIND[type(x)] for x in nodes), dtype=np.int8, count=n)
+    bounds = roots + [n]
+    end = np.empty(n, dtype=np.int32)
+    depth = np.empty(n, dtype=np.int32)
+    # Tree by tree, which keeps the temporaries to the size of one tree.
+    for a, b in zip(bounds, bounds[1:]):
+        end[a:b], depth[a:b] = _shape(kind[a:b], a)
+    var = np.full(n, -1, dtype=np.int32)
+    slot = np.full(n, -1, dtype=np.int32)
+    value = np.zeros(n)
+    frac = np.zeros(n)
+
+    def of(cls):
+        """The ids and the nodes of class `cls`, in pre-order."""
+        return np.flatnonzero(kind == _KIND[cls]), [x for x in nodes if type(x) is cls]
+
+    idx, sel = of(Terminal)
+    # A terminal's isolation depth: its depth plus the expected isolation
+    # among its fit-time size, rounded, at least 1.
+    n_eff, inv = np.unique(np.maximum(1, np.rint([x.size for x in sel])), return_inverse=True)
+    expected = np.array([depth_math.expected_isolation(int(k)) for k in n_eff])
+    value[idx] = depth[idx] + expected[inv]
+    for cls in (NumericSplit, CategoricalSplit):
+        idx, sel = of(cls)
+        var[idx] = [x.var for x in sel]
+        frac[idx] = [x.left_fraction for x in sel]
+    idx, nums = of(NumericSplit)
+    value[idx] = [x.threshold for x in nums]
+    idx, cats = of(CategoricalSplit)
+    slot[idx] = np.arange(len(idx))
+    sides = np.zeros((len(cats), 2, max((len(x.present) for x in cats), default=1)), dtype=bool)
+    for k, x in enumerate(cats):
+        sides[k, 0, : len(x.present)] = x.present & x.left_set
+        sides[k, 1, : len(x.present)] = x.present & ~x.left_set
+    idx, hyps = of(HyperplaneSplit)
+    slot[idx] = np.arange(len(idx))
+    value[idx] = [x.threshold for x in hyps]
+
+    def terms(attr, dtype=np.float64):
+        """One field of every hyperplane term, hyperplane after hyperplane."""
+        return np.array([v for x in hyps for v in getattr(x, attr)], dtype=dtype)
+
+    cat_coefs = [c for x in hyps for c in x.cat_coefs]
+    cat_coef = np.full((len(cat_coefs), max(map(len, cat_coefs), default=1)), np.nan)
+    for k, c in enumerate(cat_coefs):
+        cat_coef[k, : len(c)] = c
+    return FlatForest(
+        trees=tuple(trees),
+        roots=np.array(bounds, dtype=np.int64),
+        kind=kind,
+        var=var,
+        slot=slot,
+        value=value,
+        left_fraction=frac,
+        end=end,
+        depth=depth,
+        sides=sides,
+        num_ptr=np.cumsum([0] + [len(x.num_vars) for x in hyps], dtype=np.int32),
+        num_var=terms("num_vars", np.int32),
+        num_coef=terms("num_coefs"),
+        num_impute=terms("num_imputes"),
+        cat_ptr=np.cumsum([0] + [len(x.cat_vars) for x in hyps], dtype=np.int32),
+        cat_var=terms("cat_vars", np.int32),
+        cat_coef=cat_coef,
+        cat_impute=terms("cat_imputes"),
+    )
+
+
+def flat_forest(forest: Forest) -> FlatForest:
+    """`forest.trees` compiled into a FlatForest.  The result is kept on
+    the forest and compiled again only when `forest.trees` no longer holds
+    the same tree objects."""
+    flat = forest._flat
+    if (
+        flat is None
+        or len(flat.trees) != len(forest.trees)
+        or any(a is not b for a, b in zip(flat.trees, forest.trees))
+    ):
+        flat = forest._flat = _compile(forest.trees)
+    return flat
+
+
+def _every(mask):
+    """Index of the True entries of `mask`: a full slice when all are."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
+def _project(flat: FlatForest, X, miss, rows, h):
+    """Hyperplane projections of `rows` at hyperplanes `h`: numeric terms
+    first, then categorical ones, each in stored order.  Unknown cells
+    (missing, or categories without a coefficient) contribute the stored
+    imputation."""
+    y = np.zeros(len(rows))
+    for ptr, tvar, numeric in ((flat.num_ptr, flat.num_var, True),
+                               (flat.cat_ptr, flat.cat_var, False)):
+        start = ptr[h]
+        count = ptr[h + 1] - start
+        for t in range(int(count.max(initial=0))):
+            sel = _every(count > t)
+            j = start[sel] + t
+            r, v = rows[sel], tvar[j]
+            known, vals = ~miss[r, v], X[r, v]
+            if numeric:
+                y[sel] += np.where(known, flat.num_coef[j] * vals, flat.num_impute[j])
+                continue
+            codes = vals.astype(np.intp)
+            ok = known & (codes >= 0) & (codes < flat.cat_coef.shape[1])
+            picked = flat.cat_coef[j, np.where(ok, codes, 0)]
+            y[sel] += np.where(ok & ~np.isnan(picked), picked, flat.cat_impute[j])
+    return y
+
+
+def _sides_of(flat: FlatForest, X, miss, rows, nodes, kind):
+    """Masks of the (row, node) pairs each split sends left and right; a
+    pair in neither goes down both branches.  The rules are those of
+    `_sides` and of the fit's hyperplane projection."""
+    left = np.zeros(len(rows), dtype=bool)
+    right = np.zeros(len(rows), dtype=bool)
+    for k in (NUMERIC, CATEGORICAL, HYPERPLANE):
+        hit = kind == k
+        if not hit.any():
+            continue
+        sel = _every(hit)
+        r, n = rows[sel], nodes[sel]
+        if k == HYPERPLANE:
+            go = _project(flat, X, miss, r, flat.slot[n]) <= flat.value[n]
+            left[sel], right[sel] = go, ~go
+            continue
+        v = flat.var[n]
+        known, vals = ~miss[r, v], X[r, v]
+        if k == NUMERIC:
+            go = known & (vals <= flat.value[n])
+            left[sel], right[sel] = go, known & ~go
+            continue
+        codes = vals.astype(np.intp)
+        ok = known & (codes >= 0) & (codes < flat.sides.shape[2])
+        codes = np.where(ok, codes, 0)
+        t = flat.slot[n]
+        left[sel] = ok & flat.sides[t, 0, codes]
+        right[sel] = ok & flat.sides[t, 1, codes]
+    return left, right
+
+
+def descend(flat: FlatForest, ds: Dataset, trees: range, weighted: bool,
+            every_node: bool = False):
+    """Move every row of `ds` from the root of each tree in `trees` down to
+    where it ends, one depth level at a time, as (row, node, weight)
+    triples; returns the triples where rows end, as arrays (rows, nodes, w).
+
+    A `weighted` descent starts each row with weight 1 and sends a row
+    that a single-variable split cannot place (missing cell, or a category
+    the split never saw) down both branches with weights b*w and (1 - b)*w;
+    a copy below WEIGHT_FLOOR is dropped.  Rows end at terminals.
+    Otherwise w is None, and a row a split cannot place ends at that split.
+    With `every_node`, the triples of every node reached are returned.
+    """
+    n = ds.n_rows
+    X = np.empty((n, ds.n_cols))
+    miss = np.empty((n, ds.n_cols), dtype=bool)
+    for j, col in enumerate(ds.columns):
+        X[:, j] = col.values
+        miss[:, j] = col.missing
+    rows = np.tile(np.arange(n), len(trees))
+    nodes = np.repeat(flat.roots[trees.start : trees.stop], n)
+    w = np.ones(len(rows)) if weighted else None
+    out = [(rows[:0], nodes[:0], None if w is None else w[:0])]
+    while len(rows):
+        kind = flat.kind[nodes]
+        term = kind == TERMINAL
+        if every_node:
+            out.append((rows, nodes, w))
+        elif term.any():
+            out.append((rows[term], nodes[term], None if w is None else w[term]))
+        if term.any():
+            live = np.flatnonzero(~term)
+            rows, nodes, kind = rows[live], nodes[live], kind[live]
+            w = None if w is None else w[live]
+        left, right = _sides_of(flat, X, miss, rows, nodes, kind)
+        placed = left | right
+        child = np.where(left, nodes + 1, flat.end[nodes + 1])
+        if not placed.all():
+            one, both = np.flatnonzero(placed), np.flatnonzero(~placed)
+            if w is None:
+                # Unweighted, the row ends at this split.
+                if not every_node:
+                    out.append((rows[both], nodes[both], None))
+                rows, child = rows[one], child[one]
+            else:
+                b = flat.left_fraction[nodes[both]]
+                rows = np.concatenate([rows[one], rows[both], rows[both]])
+                child = np.concatenate([child[one], nodes[both] + 1, flat.end[nodes[both] + 1]])
+                w = np.concatenate([w[one], b * w[both], (1.0 - b) * w[both]])
+                keep = w >= WEIGHT_FLOOR
+                if not keep.all():
+                    rows, child, w = rows[keep], child[keep], w[keep]
+        nodes = child
+    rows, nodes, w = zip(*out)
+    return np.concatenate(rows), np.concatenate(nodes), np.concatenate(w) if weighted else None
 
 
 # ---------------------------------------------------------------------------

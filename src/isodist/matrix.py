@@ -14,6 +14,9 @@ import numpy as np
 
 MAGIC = b"ISODIST1"
 
+# `take` gathers at most this many cells per numpy call.
+BLOCK_CELLS = 1 << 16
+
 
 def _cell(n, i, j):
     """Condensed position of the pair (i, j), i < j, in an n x n matrix;
@@ -58,21 +61,30 @@ class CondensedMatrix:
     def take(self, rows) -> "CondensedMatrix":
         """The matrix over `rows`, indices into this one that may repeat:
         cell (i, j) is self[rows[i], rows[j]], which is 0 when the two
-        indices are equal.  Gathered row by row, with no square array."""
+        indices are equal.  Gathered a block of output rows at a time, at
+        most BLOCK_CELLS cells, with no square array."""
         rows = np.asarray(rows, dtype=np.int64)
         n = len(rows)
         out = np.empty(n * (n - 1) // 2)
-        start = 0
-        for i in range(n - 1):
-            a, b = rows[i], rows[i + 1 :]
+        # Output row i's cells start at starts[i]; the last row has none.
+        starts = _cell(n, np.arange(n), np.arange(1, n + 1))
+        i = 0
+        while i < n - 1:
+            stop = max(i + 1, int(np.searchsorted(starts, starts[i] + BLOCK_CELLS, "right")) - 1)
+            stop = min(stop, n - 1)
+            lo_cell, hi_cell = starts[i], starts[stop]
+            # The (i, j) pair of each output cell in the block.
+            ii = np.repeat(np.arange(i, stop), n - 1 - np.arange(i, stop))
+            jj = np.arange(lo_cell, hi_cell) - starts[ii] + ii + 1
+            a, b = rows[ii], rows[jj]
             lo, hi = np.minimum(a, b), np.maximum(a, b)
-            part = out[start : start + len(b)]
+            part = out[lo_cell:hi_cell]
             # Equal indices address no cell: _cell(n, k, k) lies in
             # [-1, m - 1], so the gather stays in range, and its value is
             # replaced by 0.
             np.take(self.values, _cell(self.n, lo, hi), out=part)
             part[lo == hi] = 0.0
-            start += len(b)
+            i = stop
         return CondensedMatrix(n, out)
 
     def to_square(self) -> np.ndarray:
@@ -89,14 +101,37 @@ class CondensedMatrix:
         return cls(n, sq[np.triu_indices(n, k=1)])
 
     def write_csv(self, path, names=None) -> None:
-        sq = self.to_square()
+        """The square matrix with a header row, each cell as `repr` of
+        its float, rows ending in CRLF, as `csv.writer` writes them.  Each
+        condensed cell is formatted once and serves both of its places."""
         if names is None:
             names = [f"row{i}" for i in range(self.n)]
+        n = self.n
+        starts = _cell(n, np.arange(n), np.arange(1, n + 1)).tolist()
+        # texts[j]: row j's cells (j, k), k > j, formatted and joined, with
+        # a comma after each; at[j]: where the cell of the next row to be
+        # written starts.  One string per row costs about a byte per
+        # character, where a string per cell would cost some 50 more.
+        texts, at = [], []
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(names)
-            for row in sq:
-                writer.writerow([repr(float(v)) for v in row])
+            csv.writer(fh).writerow(names)
+            for i in range(n):
+                # Row i: the cells (j, i) above the diagonal, its zero,
+                # then the cells (i, j) beyond it.
+                line = []
+                for j, text in enumerate(texts):
+                    stop = text.index(",", at[j])
+                    line.append(text[at[j] : stop])
+                    at[j] = stop + 1
+                line.append("0.0")
+                beyond = self.values[starts[i] : starts[i] + n - 1 - i].tolist()
+                text = ",".join(map(float.__repr__, beyond))
+                if text:
+                    line.append(text)
+                fh.write(",".join(line))
+                fh.write("\r\n")
+                texts.append(text + ",")
+                at.append(0)
 
     @classmethod
     def read_csv(cls, path) -> "CondensedMatrix":

@@ -212,6 +212,25 @@ def test_deeply_nested_model_is_runtime_error(small_csv, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "data", [b"x,y\n1,2\n\xff,3\n", b'x,y\n1,"' + b"7" * 140_000 + b'"\n'], ids=["bytes", "field"]
+)
+def test_unreadable_input_csv_is_runtime_error(tmp_path, data):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    src = os.path.dirname(os.path.dirname(isodist.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "isodist", "dist", "--input", str(path), "--fit-predict",
+         "--output", str(tmp_path / "d.csv")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert str(path) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def first_cat_node(node):
     if node["type"] == "cat":
         return node

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from isodist.bench import generate_scenario
 from isodist.data import (
     Column,
     DataError,
@@ -163,3 +166,44 @@ def test_weights_must_be_positive():
             [Column("numeric", np.array([1.0, 2.0]), np.zeros(2, dtype=bool))],
             weights=np.array([1.0, 0.0]),
         )
+
+
+@pytest.mark.parametrize(
+    "data, what",
+    [(b"a,b\n1,x\n2,\xff\xfe\n", "not UTF-8"), (b'a\n"' + b"x" * 140_000 + b'"\n', "field larger")],
+)
+def test_unreadable_csv_is_data_error(tmp_path, data, what):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(DataError, match=what) as info:
+        load_csv(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.fixture(scope="module")
+def mixed_csv(tmp_path_factory):
+    """The bytes of a 30-row mixed CSV with missing cells, and a path to
+    write mutants to."""
+    path = tmp_path_factory.mktemp("csvfuzz") / "data.csv"
+    write_csv(generate_scenario("mixed", 30, np.random.default_rng(2))["dataset"], path)
+    return path.read_bytes(), path
+
+
+@settings(max_examples=300)
+@given(
+    at=st.floats(0, 1, exclude_max=True),
+    change=st.sampled_from(["truncate", "replace", "insert"]),
+    byte=st.sampled_from(b',"\n\r\x00') | st.integers(0, 255),
+)
+def test_mutated_csv_loads_or_raises_data_error(mixed_csv, at, change, byte):
+    data, path = mixed_csv
+    pos = int(at * len(data))
+    if change == "truncate":
+        mutant = data[:pos]
+    else:
+        mutant = data[:pos] + bytes([byte]) + data[pos + (change == "replace") :]
+    path.write_bytes(mutant)
+    try:
+        load_csv(path)
+    except DataError:
+        pass

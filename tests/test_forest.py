@@ -9,24 +9,28 @@ from hypothesis import strategies as st
 
 from isodist.bench import generate_scenario
 from isodist.data import Column, Dataset
-from isodist.distance import anomaly_scores, separation_matrix
+from isodist import distance
 from isodist import forest as forest_mod
+from isodist.distance import anomaly_scores, separation_matrix
 from isodist.forest import (
+    NUMERIC,
+    TERMINAL,
     CategoricalSplit,
     FitError,
+    Forest,
     ForestParams,
     HyperplaneSplit,
     ModelFormatError,
     NumericSplit,
     Terminal,
     _draw_threshold,
+    descend,
     fit_forest,
+    flat_forest,
     leaf_depths,
     load_model,
     remap_dataset,
-    route,
     save_model,
-    walk,
 )
 
 
@@ -156,36 +160,77 @@ def test_routed_weight_conserved_per_node():
     miss = rng.random(100) < 0.2
     ds = numeric_dataset([vals, rng.standard_normal(100)], missing=[miss, miss[::-1]])
     forest = fit_forest(ds, ForestParams(n_trees=5, seed=4))
-
-    def check(node, idx, w):
-        if isinstance(node, Terminal) or len(idx) == 0:
-            return
-        il, wl, ir, wr = route(node, ds, idx, w)
-        # conservation up to the 1e-8 weight floor drops
-        assert wl.sum() + wr.sum() == pytest.approx(w.sum(), abs=1e-6)
-        check(node.left, il, wl)
-        check(node.right, ir, wr)
-
-    for tree in forest.trees:
-        check(tree, np.arange(100), np.ones(100))
+    flat = flat_forest(forest)
+    _, nodes, w = descend(flat, ds, range(5), True, every_node=True)
+    mass = np.bincount(nodes, weights=w, minlength=len(flat.kind))
+    split = np.flatnonzero((flat.kind != TERMINAL) & (mass > 0))
+    assert len(split) > 0
+    # conservation up to the 1e-8 weight floor drops
+    np.testing.assert_allclose(mass[split + 1] + mass[flat.end[split + 1]], mass[split],
+                               rtol=0, atol=1e-6)
 
 
 def test_terminal_rowsets_partition_subsample(normal_ds):
     # Fully observed data: each row lands in exactly one terminal.
     forest = fit_forest(normal_ds, ForestParams(n_trees=3, seed=8))
-    for tree in forest.trees:
-        seen = []
+    flat = flat_forest(forest)
+    for t in range(3):
+        rows, nodes, w = descend(flat, normal_ds, range(t, t + 1), True)
+        assert np.all(flat.kind[nodes] == TERMINAL)
+        assert np.all((flat.roots[t] <= nodes) & (nodes < flat.roots[t + 1]))
+        assert sorted(rows.tolist()) == list(range(200))
+        assert np.all(w == 1.0)
 
-        def collect(node, idx, w):
-            if isinstance(node, Terminal):
-                seen.extend(idx.tolist())
-                return
-            il, wl, ir, wr = route(node, normal_ds, idx, w)
-            collect(node.left, il, wl)
-            collect(node.right, ir, wr)
 
-        collect(tree, np.arange(200), np.ones(200))
-        assert sorted(seen) == list(range(200))
+def preorder_sizes(tree):
+    """Fit-time sizes of the terminals of `tree`, in pre-order."""
+    sizes, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Terminal):
+            sizes.append(node.size)
+        else:
+            stack += [node.right, node.left]
+    return np.array(sizes)
+
+
+@pytest.mark.parametrize(
+    "kind, ndim, table",
+    [("single", 1, "t4"), ("extended", 2, "t4"), ("extended", 3, "mixed"), ("single", 1, "mixed")],
+)
+def test_routing_the_fitted_rows_gives_every_terminal_size(kind, ndim, table):
+    # The router and the fit apply one set of rules: the rows a tree was
+    # fitted on reach each terminal with the weight it holds.
+    ds = generate_scenario(table, 200, np.random.default_rng(3))["dataset"]
+    forest = fit_forest(ds, ForestParams(n_trees=4, seed=5, model_kind=kind, ndim=ndim))
+    flat = flat_forest(forest)
+    _, nodes, w = descend(flat, ds, range(4), True)
+    mass = np.bincount(nodes, weights=w, minlength=len(flat.kind))
+    got = mass[flat.kind == TERMINAL]
+    want = np.concatenate([preorder_sizes(t) for t in forest.trees])
+    if kind == "single" and any(c.missing.any() for c in ds.columns):
+        # Both-branch weights sum in another order than at fit time.
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    else:
+        assert np.array_equal(got, want)
+
+
+def test_compiled_once_per_forest(monkeypatch, normal_ds):
+    forest = fit_forest(normal_ds, ForestParams(n_trees=3, seed=1))
+    compiled = []
+    real = forest_mod._compile
+    monkeypatch.setattr(forest_mod, "_compile", lambda trees: compiled.append(1) or real(trees))
+    first = anomaly_scores(forest, normal_ds)
+    assert np.array_equal(anomaly_scores(forest, normal_ds), first)
+    assert len(compiled) == 1
+    # Another tree object in the list is compiled anew.
+    forest.trees[1] = fit_forest(normal_ds, ForestParams(n_trees=1, seed=2)).trees[0]
+    again = anomaly_scores(forest, normal_ds)
+    assert len(compiled) == 2
+    assert not np.array_equal(again, first)
+    fresh = fit_forest(normal_ds, ForestParams(n_trees=3, seed=1))
+    fresh.trees[1] = forest.trees[1]
+    assert np.array_equal(anomaly_scores(fresh, normal_ds), again)
 
 
 def test_overflowing_range_still_splits():
@@ -483,63 +528,94 @@ def two_split_tree(right_var=0, right_threshold=2.0):
                         left=Terminal(2.0), right=right)
 
 
-def leaf_order(tree, ds, min_rows=2):
-    """Rows of the nodes an unweighted walk does not descend from, in walk
-    order."""
-    return np.concatenate([
-        idx for size, idx, _, _ in walk(tree, ds, False, min_rows)
-        if size is not None or len(idx) < min_rows
-    ])
+def one_tree(tree, n_cols=1):
+    """A forest wrapping one hand-built tree over numeric columns."""
+    schema = [{"name": f"x{j}", "kind": "numeric", "labels": None} for j in range(n_cols)]
+    return Forest(params=ForestParams(n_trees=1), schema=schema, trees=[tree], n_sub=2)
 
 
-def walked(tree, ds, weighted, min_rows):
-    """(size, rows, weights, depth) of each node `walk` yields, as lists."""
-    return [
-        (size, idx.tolist(), None if w is None else w.tolist(), depth)
-        for size, idx, w, depth in walk(tree, ds, weighted, min_rows)
-    ]
+def descended(tree, ds, weighted, every_node=True):
+    """(node, rows, weights) of each node the router reaches in a one-tree
+    forest over `ds`, in node order, with each node's rows ascending."""
+    flat = flat_forest(one_tree(tree, ds.n_cols))
+    rows, nodes, w = descend(flat, ds, range(1), weighted, every_node)
+    out = []
+    for v in np.unique(nodes):
+        at = np.flatnonzero(nodes == v)
+        at = at[np.argsort(rows[at], kind="stable")]
+        out.append((int(v), rows[at].tolist(), None if w is None else w[at].tolist()))
+    return out
 
 
-def test_walk_yields_nodes_in_pre_order():
+def leaf_order(forest, t, ds):
+    """Rows of `ds` sorted by where an unweighted descent of tree t ends."""
+    rows, nodes, _ = descend(flat_forest(forest), ds, range(t, t + 1), False)
+    return rows[np.argsort(nodes, kind="stable")]
+
+
+def test_descend_reaches_nodes_in_pre_order():
     ds = numeric_dataset([[3.0, 0.0, 1.0, 0.2, 5.0]])
-    assert walked(two_split_tree(), ds, False, 2) == [
-        (None, [0, 1, 2, 3, 4], None, 0),
-        (2.0, [1, 3], None, 1),
-        (None, [0, 2, 4], None, 1),
-        (1.0, [2], None, 2),
-        (1.0, [0, 4], None, 2),
+    tree = two_split_tree()
+    flat = flat_forest(one_tree(tree))
+    assert flat.kind.tolist() == [NUMERIC, TERMINAL, NUMERIC, TERMINAL, TERMINAL]
+    assert flat.end.tolist() == [5, 2, 5, 4, 5]
+    assert flat.depth.tolist() == [0, 1, 1, 2, 2]
+    assert descended(tree, ds, False) == [
+        (0, [0, 1, 2, 3, 4], None),
+        (1, [1, 3], None),
+        (2, [0, 2, 4], None),
+        (3, [2], None),
+        (4, [0, 4], None),
     ]
-    assert leaf_order(two_split_tree(), ds).tolist() == [1, 3, 2, 0, 4]
+    assert leaf_order(one_tree(tree), 0, ds).tolist() == [1, 3, 2, 0, 4]
 
 
 @pytest.mark.parametrize("kind, ndim", [("single", 1), ("extended", 2)], ids=["single", "extended"])
 def test_leaf_order_is_a_permutation(normal_ds, kind, ndim):
     forest = fit_forest(normal_ds, ForestParams(n_trees=3, seed=4, model_kind=kind,
                                                 ndim=ndim, subsample=64))
-    for tree in forest.trees:
-        order = leaf_order(tree, normal_ds)
+    for t in range(3):
+        order = leaf_order(forest, t, normal_ds)
         assert np.array_equal(np.sort(order), np.arange(normal_ds.n_rows))
 
 
-def test_unweighted_walk_stops_where_a_row_is_missing():
-    # Row 2 reaches the right split, whose column it lacks.
+def trees_summed_with_weights(monkeypatch, forest, ds):
+    """Indices of the trees `separation_matrix` sums by the weighted path."""
+    seen = []
+    real = distance._add_weighted
+    monkeypatch.setattr(distance, "_add_weighted",
+                        lambda flat, t, *args: seen.append(t) or real(flat, t, *args))
+    separation_matrix(forest, ds)
+    return seen
+
+
+def test_unweighted_descent_ends_where_a_row_is_missing(monkeypatch):
+    # Row 2 reaches the right split, whose column it lacks, together with
+    # row 1: the tree needs both-branch weights.
     ds = numeric_dataset([[0.0, 3.0, 4.0], [1.0, 0.0, 0.0]],
                          missing=[[False] * 3, [False, False, True]])
     tree = two_split_tree(right_var=1, right_threshold=0.5)
-    assert walked(tree, ds, False, 2) == [
-        (None, [0, 1, 2], None, 0), (2.0, [0], None, 1), (None, [1, 2], None, 1),
+    assert descended(tree, ds, False, every_node=False) == [
+        (1, [0], None), (2, [2], None), (3, [1], None),
     ]
-    # A weighted walk sends row 2 down both branches instead.
-    assert walked(tree, ds, True, 2)[3:] == [
-        (1.0, [1, 2], [1.0, 0.5], 2), (1.0, [2], [0.5], 2),
-    ]
+    # A weighted descent sends row 2 down both branches instead.
+    assert descended(tree, ds, True)[3:] == [(3, [1, 2], [1.0, 0.5]), (4, [2], [0.5])]
+    assert trees_summed_with_weights(monkeypatch, one_tree(tree, 2), ds) == [0]
 
 
-def test_one_row_node_is_yielded_but_not_descended():
-    ds = numeric_dataset([[0.0, 3.0]])
-    reached = [(None, [0, 1], None, 0), (2.0, [0], None, 1), (None, [1], None, 1)]
-    assert walked(two_split_tree(), ds, False, 2) == reached
-    assert walked(two_split_tree(), ds, False, 1) == reached + [(1.0, [1], None, 2)]
+def test_row_alone_at_a_split_stays_on_the_kernel(monkeypatch):
+    # Row 1 reaches the right split alone and lacks its column: no other
+    # row shares a node below with it, so the integer kernel sums the tree.
+    ds = numeric_dataset([[0.0, 3.0, 0.2], [1.0, 0.0, 1.0]],
+                         missing=[[False] * 3, [False, True, False]])
+    tree = two_split_tree(right_var=1, right_threshold=0.5)
+    forest = one_tree(tree, 2)
+    assert descended(tree, ds, False, every_node=False) == [(1, [0, 2], None), (2, [1], None)]
+    assert trees_summed_with_weights(monkeypatch, forest, ds) == []
+    # Rows 0 and 2 share the left terminal at depth 1 (1 + 3), and each
+    # parts from row 1 at the root (1).
+    depth = np.array([1.0, 4.0, 1.0])
+    assert np.array_equal(separation_matrix(forest, ds).values, 2.0 ** (-(depth - 1.0) / 2.0))
 
 
 def recursive_leaf_depths(node, depth=0):

@@ -1,6 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
+from isodist import matrix
 from isodist.matrix import CondensedMatrix
 
 
@@ -53,6 +56,26 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(m.values, again.values)
 
 
+def test_csv_bytes_match_csv_writer(tmp_path):
+    # The square matrix through csv.writer, one repr per cell: the format
+    # write_csv keeps.
+    m = random_matrix(7, seed=11)
+    m.values[:4] = [1e-05, 1.0, 3e-310, 0.5]
+    names = ["a", "b,c", 'd"e', "f", "g h", "", "i"]
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for row in m.to_square():
+            writer.writerow([repr(float(v)) for v in row])
+    path = tmp_path / "dist.csv"
+    m.write_csv(path, names)
+    assert path.read_bytes() == ref.read_bytes()
+    assert path.read_bytes().endswith(b"\r\n")
+    m.write_csv(path)
+    assert path.read_bytes().startswith(b"row0,row1,row2,row3,row4,row5,row6\r\n0.0,1e-05,")
+
+
 def test_binary_round_trip(tmp_path):
     m = random_matrix(12, seed=9)
     path = tmp_path / "dist.bin"
@@ -85,3 +108,13 @@ def test_take_matches_square_gather():
     rows = np.array([2, 0, 5, 2, 1, 0, 4, 3, 5])
     want = CondensedMatrix.from_square(m.to_square()[np.ix_(rows, rows)])
     assert np.array_equal(m.take(rows).values, want.values)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 100])
+def test_take_in_blocks_matches_square_gather(monkeypatch, block):
+    monkeypatch.setattr(matrix, "BLOCK_CELLS", block)
+    m = random_matrix(10, seed=4)
+    rows = np.array([9, 0, 3, 3, 7, 1, 9, 2, 5, 4, 0])
+    want = CondensedMatrix.from_square(m.to_square()[np.ix_(rows, rows)])
+    assert np.array_equal(m.take(rows).values, want.values)
+    assert m.take([6, 6]).values.tolist() == [0.0]

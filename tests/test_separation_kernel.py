@@ -1,5 +1,5 @@
-"""The leaf-order separation kernel against an oracle built from the
-weighted node-by-node path (`tree_depth_sums`), the paper's distance
+"""The separation matrix, `tree_depth_sums` and anomaly scores against a
+recursive node-by-node oracle over the node objects, the paper's distance
 axioms, and batch-independent anomaly scores, on small random mixed
 tables."""
 
@@ -8,25 +8,87 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isodist import distance
+from isodist import forest as forest_mod
 from isodist.data import Column, Dataset, deduplicate
-from isodist.depth import standardize_separation
+from isodist.depth import expected_isolation, standardize_isolation, standardize_separation
 from isodist.distance import anomaly_scores, separation_matrix, tree_depth_sums
-from isodist.forest import ForestParams, fit_forest
+from isodist.forest import (
+    HyperplaneSplit,
+    ForestParams,
+    Terminal,
+    fit_forest,
+    remap_dataset,
+)
 from isodist.matrix import CondensedMatrix
 
 POOL = [-1.5, 0.0, 0.25, 3.0, 1e6]
 LABELS = ["a", "b", "c"]
 
 
+def project(node, ds, idx):
+    """The hyperplane projection of rows `idx` at `node`; unknown cells
+    contribute the stored imputation."""
+    y = np.zeros(len(idx))
+    for var, coef, r in zip(node.num_vars, node.num_coefs, node.num_imputes):
+        col = ds.columns[var]
+        y += np.where(~col.missing[idx], coef * col.values[idx], r)
+    for var, coefs, r in zip(node.cat_vars, node.cat_coefs, node.cat_imputes):
+        col = ds.columns[var]
+        vals = col.values[idx]
+        ok = ~col.missing[idx] & (vals >= 0) & (vals < len(coefs))
+        picked = coefs[np.where(ok, vals, 0)]
+        y += np.where(ok & ~np.isnan(picked), picked, r)
+    return y
+
+
+def node_by_node(tree, ds, D, iso):
+    """Add one tree's pair depth sums into the square D and its rows'
+    weighted isolation depths into `iso`, visiting the node objects in
+    pre-order: every node two rows reach adds w_i*w_j (3*w_i*w_j at a
+    terminal), every terminal w*(depth + expected isolation among its
+    size).  Rows go down a node by the fit's own `_sides`/`_split`."""
+    stack = [(tree, np.arange(ds.n_rows), np.ones(ds.n_rows), 0)]
+    while stack:
+        node, idx, w, depth = stack.pop()
+        if not len(idx):
+            continue
+        terminal = isinstance(node, Terminal)
+        if len(idx) >= 2:
+            D[np.ix_(idx, idx)] += (3.0 if terminal else 1.0) * np.outer(w, w)
+        if terminal:
+            iso[idx] += w * (depth + expected_isolation(max(1, int(round(node.size)))))
+            continue
+        if isinstance(node, HyperplaneSplit):
+            left = project(node, ds, idx) <= node.threshold
+            il, wl, ir, wr = idx[left], w[left], idx[~left], w[~left]
+        else:
+            col = ds.columns[node.var]
+            sides = forest_mod._sides(node, col.values[idx], ~col.missing[idx])
+            il, wl, ir, wr = forest_mod._split(idx, w, *sides, node.left_fraction)
+        stack += [(node.right, ir, wr, depth + 1), (node.left, il, wl, depth + 1)]
+
+
+def reference(forest, ds):
+    """Per-tree square depth sums and the anomaly scores of `ds`, node by
+    node."""
+    ds = remap_dataset(forest, ds)
+    iso = np.zeros(ds.n_rows)
+    sums = []
+    for tree in forest.trees:
+        sums.append(np.zeros((ds.n_rows, ds.n_rows)))
+        node_by_node(tree, ds, sums[-1], iso)
+    return sums, standardize_isolation(iso / len(forest.trees), max(2, forest.n_sub))
+
+
 def oracle(forest, ds):
-    """separation_matrix's cells rebuilt from per-tree `tree_depth_sums`
-    (summed in tree order, averaged, standardized, expanded over duplicate
-    groups), and whether every per-tree sum is an integer."""
+    """separation_matrix's cells rebuilt from the per-tree node-by-node
+    sums (summed in tree order, averaged, standardized, expanded over
+    duplicate groups), and whether every per-tree sum is an integer."""
     rep, gmap = deduplicate(ds)
     n = ds.n_rows
     if rep.n_rows < 2:
         return np.zeros(n * (n - 1) // 2), True
-    per_tree = [tree_depth_sums(forest, tree, rep) for tree in forest.trees]
+    per_tree, _ = reference(forest, rep)
     integral = all(np.array_equal(D, np.round(D)) for D in per_tree)
     avg = sum(per_tree) / len(forest.trees)
     iu = np.triu_indices(rep.n_rows, k=1)
@@ -37,8 +99,8 @@ def oracle(forest, ds):
 
 def assert_same(got, want, integral):
     """Exact when every per-tree sum is an integer (integer sums add
-    exactly in any order); else to float rounding, since the kernel sums
-    node by node and the oracle tree by tree."""
+    exactly in any order); else to float rounding, since the library sums
+    a weighted tree as a sparse product and the oracle node by node."""
     if integral:
         assert np.array_equal(got, want)
     else:
@@ -98,6 +160,18 @@ def test_kernel_matches_oracle_and_axioms(case):
     assert np.all(got[same] == 0.0)
     assert np.all((got[~same] > 0.0) & (got[~same] <= 1.0))
     assert_same(separation_matrix(forest, ds, threads=2).values, got, integral)
+
+
+@settings(max_examples=100)
+@given(cases())
+def test_depth_sums_and_scores_match_node_by_node(case):
+    fit_ds, ds, params = case
+    forest = fit_forest(fit_ds, params)
+    per_tree, scores = reference(forest, ds)
+    for tree, want in zip(forest.trees, per_tree):
+        assert_same(tree_depth_sums(forest, tree, ds), want, np.array_equal(want, np.round(want)))
+    # Each row adds its terminals tree by tree, in pre-order: the same sum.
+    assert np.array_equal(anomaly_scores(forest, ds), scores)
 
 
 @settings(max_examples=100)
