@@ -264,12 +264,22 @@ def separation_matrix(forest: Forest, ds: Dataset, threads: int = 1) -> Condense
 
 
 def pair_distance(forest: Forest, ds: Dataset, i: int, j: int) -> float:
-    """Distance between rows i and j of `ds`; bitwise-identical rows are 0
-    without any traversal, and the result equals the full-matrix entry."""
-    if ds.row_key(i) == ds.row_key(j):
+    """Distance between rows i and j of `ds`; rows bitwise identical once
+    remapped to the model's labels are 0 without any traversal.  The two
+    rows descend all trees together, and every node both reach adds
+    c * w_i * w_j, c = 3 at a terminal and 1 at a split.  The result equals
+    the full-matrix entry: exactly on complete data, where the sums are
+    integers, and to float rounding otherwise."""
+    sub = remap_dataset(forest, ds.take([i, j]))
+    if sub.row_key(0) == sub.row_key(1):
         return 0.0
-    sub = ds.take([i, j])
-    return separation_matrix(forest, sub)[0, 1]
+    flat = flat_forest(forest)
+    rows, nodes, w = descend(flat, sub, range(len(forest.trees)), True, every_node=True)
+    mass = np.zeros((2, len(flat.kind)))
+    mass[rows, nodes] = w
+    c = np.where(flat.kind == TERMINAL, 3.0, 1.0)
+    avg = np.array([np.sum(c * mass[0] * mass[1])]) / len(forest.trees)
+    return float(depth_math.standardize_separation(avg)[0])
 
 
 def anomaly_scores(forest: Forest, ds: Dataset) -> np.ndarray:

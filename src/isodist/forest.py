@@ -14,9 +14,16 @@ Two tree families:
   observed contributions, so every row routes deterministically.
 
 Each tree grows from its own RNG stream spawned from (seed, tree index),
-so a tree does not depend on the trees grown before it.  Fitting sends
-rows down a node with `_sides` and `_split`.  The node dataclasses are the
-fit's output and the model file's content.
+so a tree does not depend on the trees grown before it; its subsample is
+the stream's first draw.  `_grow` grows a tree one depth level at a time.
+The tree's rows (and their both-branch copies, with weights) stay sorted
+by the node they reach, so eligible columns, ranges, weight sums and
+hyperplane medians are segment reductions over all of a level's nodes,
+and each level draws its random numbers in blocks: uniform keys choosing
+each node's columns, then thresholds, category coins or hyperplane
+coefficients, and again only for the draws that failed.  When the tree is
+done its levels are linked into the node dataclasses, which are the fit's
+output and the model file's content.
 
 Prediction reads no node object.  `flat_forest` compiles a forest's trees
 once into flat pre-order arrays (`FlatForest`), kept on the forest until
@@ -30,7 +37,6 @@ hyperplane projection with stored imputations.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -127,211 +133,286 @@ class Forest:
     _flat: FlatForest | None = field(default=None, init=False, repr=False, compare=False)
 
 
-def _var_is_eligible(col: Column, idx: np.ndarray):
-    """(values, known-mask) if the column has >= 2 distinct non-missing
-    values among rows `idx`, else None."""
-    known = ~col.missing[idx]
-    if np.count_nonzero(known) < 2:
-        return None
-    vals = col.values[idx]
-    kv = vals[known]
-    if kv.min() == kv.max():
-        return None
-    return vals, known
+def _cells(ds: Dataset):
+    """(X, miss): the cells of `ds` as an (n_rows, n_cols) float64 array,
+    categorical codes as floats, and its missing mask.  A negative code (a
+    label the model never saw) counts as missing: no split can place it."""
+    X = np.empty((ds.n_rows, ds.n_cols))
+    miss = np.empty((ds.n_rows, ds.n_cols), dtype=bool)
+    for j, col in enumerate(ds.columns):
+        X[:, j] = col.values
+        miss[:, j] = col.missing | (col.values < 0) if col.kind == "categorical" else col.missing
+    return X, miss
 
 
-def _eligible_vars(ds: Dataset, idx: np.ndarray) -> list[int]:
-    """Columns with >= 2 distinct non-missing values among rows `idx`."""
-    return [
-        ci
-        for ci, col in enumerate(ds.columns)
-        if _var_is_eligible(col, idx) is not None
-    ]
+def _ranges(cells, known, starts):
+    """The least and the greatest known cell of each column in each
+    segment of rows [starts[s], starts[s + 1]); +inf and -inf where a
+    segment knows none.  A column with lo < hi has >= 2 distinct values."""
+    lo = np.minimum.reduceat(np.where(known, cells, np.inf), starts, axis=0)
+    hi = np.maximum.reduceat(np.where(known, cells, -np.inf), starts, axis=0)
+    return lo, hi
 
 
-def _pick_var(ds: Dataset, idx: np.ndarray, rng):
-    """Uniform draw among eligible variables, checking lazily: the first
-    eligible entry of a uniform permutation is uniform over the eligible
-    set, so most nodes test a single column."""
-    for var in rng.permutation(len(ds.columns)):
-        hit = _var_is_eligible(ds.columns[var], idx)
-        if hit is not None:
-            return int(var), hit[0], hit[1]
-    return None, None, None
+def _thresholds(rng, lo, hi):
+    """One uniform draw in [lo[i], hi[i]) per entry, strictly below hi so
+    both branches are non-empty.  An entry whose draw rounds out of the
+    range draws again, up to MAX_REDRAWS rounds in all; NaN if none lands.
 
-
-def _draw_threshold(rng, lo: float, hi: float) -> float | None:
-    """Uniform draw strictly below `hi` (so both branches are non-empty).
-
-    When `hi - lo` overflows (endpoints near +-1.8e308) the draw is made
+    Where `hi - lo` overflows (endpoints near +-1.8e308) the draw is made
     in halved space; halving such large values is exact.
     """
-    finite = math.isfinite(hi - lo)
+    z = np.full(len(lo), np.nan)
+    todo = np.arange(len(lo))
     for _ in range(MAX_REDRAWS):
-        u = rng.random()
-        if finite:
-            z = lo + u * (hi - lo)
+        if not len(todo):
+            break
+        u = rng.random(len(todo))
+        a, b = lo[todo], hi[todo]
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = b - a
+            halved = 2.0 * (a / 2.0 + u * (b / 2.0 - a / 2.0))
+            t = np.where(np.isfinite(span), a + u * span, halved)
+        good = (a <= t) & (t < b)
+        z[todo[good]] = t[good]
+        todo = todo[~good]
+    return z
+
+
+def _subsets(rng, present):
+    """Per row of the bool table `present`, a fair coin for each present
+    code, drawn again, up to MAX_REDRAWS rounds in all, until the heads
+    are a proper non-empty subset.  Returns the heads as a table and the
+    mask of rows that got one."""
+    left = np.zeros_like(present)
+    n_present = np.count_nonzero(present, axis=1)
+    todo = np.arange(len(present))
+    for _ in range(MAX_REDRAWS):
+        if not len(todo):
+            break
+        p = present[todo]
+        coin = np.zeros_like(p)
+        coin[p] = rng.random(np.count_nonzero(p)) < 0.5
+        heads = np.count_nonzero(coin, axis=1)
+        good = (heads > 0) & (heads < n_present[todo])
+        left[todo[good]] = coin[good]
+        todo = todo[~good]
+    ok = np.ones(len(present), dtype=bool)
+    ok[todo] = False
+    return left, ok
+
+
+def _segment_medians(seg, vals, n_seg):
+    """The median of `vals` within each segment id of `seg` (ids below
+    n_seg), as np.median gives it: the mean of the two middle values for
+    an even count.  NaN for a segment without values."""
+    count = np.bincount(seg, minlength=n_seg)
+    v = vals[np.lexsort((vals, seg))]
+    first = np.cumsum(count) - count
+    has = count > 0
+    a = v[(first + (count - 1) // 2)[has]]
+    b = v[(first + count // 2)[has]]
+    med = np.full(n_seg, np.nan)
+    med[has] = np.where(count[has] % 2 == 1, a, (a + b) / 2)
+    return med
+
+
+def _split_single(X, miss, n_labels, rows, seg, starts, rng):
+    """Draw a single-variable split for each segment of rows.  Returns
+    (ok, splits, left, right): ok marks the segments that got a split,
+    `splits` holds their node objects (left_fraction still unset), and
+    left/right mark the rows each sends that way; a row in neither goes
+    down both branches."""
+    n_seg, n_cols = len(starts), X.shape[1]
+    lo, hi = _ranges(X[rows], ~miss[rows], starts)
+    eligible = lo < hi
+    # The first eligible column in a uniform order is uniform over them.
+    keys = rng.random(eligible.shape)
+    keys[~eligible] = 2.0
+    var = np.argmin(keys, axis=1)
+    s = np.arange(n_seg)
+    ok = eligible[s, var]
+    cat = n_labels[var] > 0
+    thr = np.full(n_seg, np.nan)
+    num = np.flatnonzero(ok & ~cat)
+    thr[num] = _thresholds(rng, lo[num, var[num]], hi[num, var[num]])
+    ok[num] = ~np.isnan(thr[num])
+    at = rows * n_cols + var[seg]
+    x, known = X.ravel()[at], ~miss.ravel()[at]
+    left = known & (x <= thr[seg])
+    cats = np.flatnonzero(ok & cat)
+    if len(cats):
+        # The categories present at each categorical segment get the coins.
+        hit = known & cat[seg]
+        codes = x[hit].astype(np.intp)
+        present = np.zeros((n_seg, int(n_labels.max())), dtype=bool)
+        present[seg[hit], codes] = True
+        left_set = np.zeros_like(present)
+        left_set[cats], ok[cats] = _subsets(rng, present[cats])
+        left[hit] = left_set[seg[hit], codes]
+    splits = []
+    size = n_labels.tolist()
+    for i, v, z in zip(np.flatnonzero(ok).tolist(), var[ok].tolist(), thr[ok].tolist()):
+        if size[v]:
+            splits.append(CategoricalSplit(
+                v, left_set[i, : size[v]].copy(), present[i, : size[v]].copy(), 0.0
+            ))
         else:
-            z = 2.0 * (lo / 2.0 + u * (hi / 2.0 - lo / 2.0))
-        if lo <= z < hi:
-            return z
-    return None
+            splits.append(NumericSplit(v, z, 0.0))
+    return ok, splits, left, known & ~left
 
 
-def _sides(node, vals, known):
-    """Masks of the rows a single-variable node sends left and right, given
-    the rows' values and known-mask in its column.  Rows in neither mask
-    (missing, or a category the node never saw) go down both branches."""
-    if isinstance(node, NumericSplit):
-        left = known & (vals <= node.threshold)
-        return left, known & ~left
-    in_domain = known & (vals >= 0) & (vals < len(node.present))
-    codes = vals[in_domain]
-    left = np.zeros(len(vals), dtype=bool)
-    right = np.zeros(len(vals), dtype=bool)
-    left[in_domain] = node.present[codes] & node.left_set[codes]
-    right[in_domain] = node.present[codes] & ~node.left_set[codes]
-    return left, right
+def _split_hyperplane(X, miss, n_labels, rows, seg, starts, rng, ndim):
+    """Draw a hyperplane split for each segment of rows, over up to `ndim`
+    of its eligible columns.  Returns (ok, splits, left, right) as
+    `_split_single` does; every row goes one way."""
+    n_seg, n_cols = len(starts), X.shape[1]
+    lo, hi = _ranges(X[rows], ~miss[rows], starts)
+    eligible = lo < hi
+    # The k smallest of uniform keys: k columns uniform among the eligible.
+    keys = rng.random(eligible.shape)
+    keys[~eligible] = 2.0
+    pick = np.argsort(keys, axis=1)[:, :ndim]
+    used = np.arange(pick.shape[1]) < np.minimum(ndim, eligible.sum(axis=1))[:, None]
+    # A segment's terms: numeric columns first, then categorical ones,
+    # each kind in column order; 2 * n_cols past its last term.
+    terms = np.sort(np.where(used, pick + n_cols * (n_labels[pick] > 0), 2 * n_cols), axis=1)
+    valid = terms < 2 * n_cols
+    var = terms % n_cols
+    cat = valid & (n_labels[var] > 0)
+    num = valid & ~cat
+    coef = np.zeros(terms.shape)
+    coef[num] = rng.standard_normal(np.count_nonzero(num))
+    # Row j of `cat_coef` holds categorical term j's coefficients by code,
+    # NaN for the codes absent at its segment.
+    term_id = np.cumsum(cat).reshape(cat.shape) - 1
+    present = np.zeros((np.count_nonzero(cat), max(1, int(n_labels.max()))), dtype=bool)
+    cells = []
+    for t in range(terms.shape[1]):
+        at = rows * n_cols + var[seg, t]
+        x, known = X.ravel()[at], valid[seg, t] & ~miss.ravel()[at]
+        c = known & cat[seg, t]
+        present[term_id[seg[c], t], x[c].astype(np.intp)] = True
+        cells.append((x, known))
+    cat_coef = np.full(present.shape, np.nan)
+    cat_coef[present] = rng.standard_normal(np.count_nonzero(present))
 
+    y = np.zeros(len(rows))
+    impute = np.zeros(terms.shape)
+    s = np.arange(n_seg)
+    for t, (x, known) in enumerate(cells):
+        # A numeric coefficient is Normal(0, 1) over the sd of the
+        # segment's known cells.  The cells are scaled by their largest
+        # magnitude first, so their squares neither overflow nor vanish;
+        # the largest scales to +-1, so the sd is > 0.
+        k = known & num[seg, t]
+        sk = seg[k]
+        scale = np.maximum(-lo[s, var[:, t]], hi[s, var[:, t]])
+        xs = x[k] / scale[sk]
+        n_known = np.maximum(1, np.bincount(sk, minlength=n_seg))
+        dev = xs - (np.bincount(sk, weights=xs, minlength=n_seg) / n_known)[sk]
+        sd2 = np.bincount(sk, weights=dev * dev, minlength=n_seg) / n_known
+        m = num[:, t]
+        coef[m, t] /= scale[m] * np.sqrt(sd2[m])
+        term = coef[seg, t] * x
+        c = known & cat[seg, t]
+        term[c] = cat_coef[term_id[seg[c], t], x[c].astype(np.intp)]
+        impute[:, t] = _segment_medians(seg[known], term[known], n_seg)
+        has = valid[seg, t]
+        y[has] += np.where(known, term, impute[seg, t])[has]
 
-def _split(idx, w, left, right, b):
-    """Rows (idx, w) into (idx_l, w_l, idx_r, w_r) by the `left`/`right` masks.
-
-    Rows in neither mask appear on BOTH sides with weights scaled by b and
-    1 - b; copies below the weight floor are dropped.  Unweighted rows
-    (w None, hyperplane splits) always lie in exactly one mask.
-    """
-    if w is None:
-        return idx[left], None, idx[right], None
-    both = ~(left | right)
-    idx_l = np.concatenate([idx[left], idx[both]])
-    w_l = np.concatenate([w[left], b * w[both]])
-    idx_r = np.concatenate([idx[right], idx[both]])
-    w_r = np.concatenate([w[right], (1.0 - b) * w[both]])
-    keep_l = w_l >= WEIGHT_FLOOR
-    keep_r = w_r >= WEIGHT_FLOOR
-    return idx_l[keep_l], w_l[keep_l], idx_r[keep_r], w_r[keep_r]
-
-
-def _draw_single(ds, idx, w, rng):
-    """Random single-variable split of rows (idx, w) and the rows it sends
-    each way (see `_split`), or None when no split can be drawn."""
-    var, vals, known = _pick_var(ds, idx, rng)
-    if var is None:
-        return None
-    col = ds.columns[var]
-    if col.kind == "numeric":
-        kv = vals[known]
-        z = _draw_threshold(rng, float(kv.min()), float(kv.max()))
-        if z is None:
-            return None
-        node = NumericSplit(var=var, threshold=z, left_fraction=0.0)
-    else:
-        present_codes = np.unique(vals[known])
-        subset = None
-        for _ in range(MAX_REDRAWS):
-            coin = rng.random(len(present_codes)) < 0.5
-            if 0 < coin.sum() < len(present_codes):
-                subset = present_codes[coin]
-                break
-        if subset is None:
-            return None
-        present = np.zeros(len(col.labels), dtype=bool)
-        present[present_codes] = True
-        left_set = np.zeros(len(col.labels), dtype=bool)
-        left_set[subset] = True
-        node = CategoricalSplit(
-            var=var, left_set=left_set, present=present, left_fraction=0.0
-        )
-    left, right = _sides(node, vals, known)
-    wl = float(w[left].sum())
-    wr = float(w[right].sum())
-    node.left_fraction = wl / (wl + wr)
-    return node, _split(idx, w, left, right, node.left_fraction)
-
-
-def _draw_extended(ds, idx, rng, ndim):
-    """Random hyperplane split of rows `idx` and the rows it sends each way
-    (see `_split`), or None when no split can be drawn."""
-    eligible = _eligible_vars(ds, idx)
-    if not eligible:
-        return None
-    k = min(ndim, len(eligible))
-    chosen = sorted(rng.choice(np.array(eligible), size=k, replace=False).tolist())
-
-    y = np.zeros(len(idx))
-    node = HyperplaneSplit([], [], [], [], [], [], threshold=0.0)
-    for var in chosen:
-        col = ds.columns[var]
-        vals = col.values[idx]
-        known = ~col.missing[idx]
-        if col.kind == "numeric":
-            kv = vals[known]
-            with np.errstate(over="ignore", invalid="ignore"):
-                sigma = float(kv.std())
-            if not math.isfinite(sigma):
-                # Squares of cells beyond ~1.3e154 overflow; scale them
-                # into [-1, 1] first.
-                s = float(np.abs(kv).max())
-                sigma = s * float((kv / s).std())
-            z = float(rng.standard_normal()) / sigma
-            contrib = z * kv
-            r = float(np.median(contrib))
-            y[known] += z * vals[known]
-            y[~known] += r
-            node.num_vars.append(var)
-            node.num_coefs.append(z)
-            node.num_imputes.append(r)
-        else:
-            present_codes = np.unique(vals[known])
-            coefs = np.full(len(col.labels), np.nan)
-            coefs[present_codes] = rng.standard_normal(len(present_codes))
-            applied = coefs[vals[known]]
-            r = float(np.median(applied))
-            y[known] += applied
-            y[~known] += r
-            node.cat_vars.append(var)
-            node.cat_coefs.append(coefs)
-            node.cat_imputes.append(r)
-
-    lo, hi = float(y.min()), float(y.max())
-    if lo == hi:
-        return None
-    q = _draw_threshold(rng, lo, hi)
-    if q is None:
-        return None
-    node.threshold = q
-    # Route by the projection drawn here, not a recomputed one, so the
-    # terminal sizes match the rows the fit actually saw.
-    left = y <= q
-    return node, _split(idx, None, left, ~left, None)
-
-
-def _grow(ds, idx, w, rng, params: ForestParams):
-    """Grow a tree on rows (idx, w); w is None for the extended model.
-    Splits are drawn in pre-order, left first, from an explicit stack, so
-    a tree may be deeper than Python's recursion limit."""
-    tree = None
-    stack = [(idx, w, 0, None, None)]
-    while stack:
-        idx, w, depth, parent, side = stack.pop()
-        drawn = None
-        if len(idx) > 1 and (params.max_depth is None or depth < params.max_depth):
-            if w is None:
-                drawn = _draw_extended(ds, idx, rng, params.ndim)
+    lo_y, hi_y = np.minimum.reduceat(y, starts), np.maximum.reduceat(y, starts)
+    ok = lo_y < hi_y
+    thr = np.full(n_seg, np.nan)
+    thr[ok] = _thresholds(rng, lo_y[ok], hi_y[ok])
+    ok &= ~np.isnan(thr)
+    splits = []
+    for i in np.flatnonzero(ok).tolist():
+        node = HyperplaneSplit([], [], [], [], [], [], threshold=float(thr[i]))
+        for t in np.flatnonzero(valid[i]).tolist():
+            v = int(var[i, t])
+            if cat[i, t]:
+                node.cat_vars.append(v)
+                node.cat_coefs.append(cat_coef[term_id[i, t], : n_labels[v]].copy())
+                node.cat_imputes.append(float(impute[i, t]))
             else:
-                drawn = _draw_single(ds, idx, w, rng)
-        if drawn is None:
-            node = Terminal(size=float(len(idx) if w is None else w.sum()))
+                node.num_vars.append(v)
+                node.num_coefs.append(float(coef[i, t]))
+                node.num_imputes.append(float(impute[i, t]))
+        splits.append(node)
+    left = y <= thr[seg]
+    return ok, splits, left, ~left
+
+
+def _grow(X, miss, n_labels, idx, rng, params: ForestParams):
+    """Grow one tree on rows `idx` of the cells (X, miss), one depth level
+    at a time, and return its root.
+
+    The tree's rows are kept sorted by the node they reach at the current
+    level: a single-variable model carries each row's weight and sends a
+    row its split cannot place down both branches with weights b*w and
+    (1 - b)*w, b the weight share of the split's placed rows sent left,
+    dropping copies below WEIGHT_FLOOR.  Each level draws the splits of
+    all its nodes that hold >= 2 rows at once; a node that gets none is a
+    terminal.  The split of a level's j-th split node has children 2j and
+    2j + 1 on the next level."""
+    weighted = params.model_kind == "single"
+    rows = idx
+    w = np.ones(len(rows)) if weighted else None
+    node = np.zeros(len(rows), dtype=np.intp)
+    levels = []  # per depth: (its split nodes, in order; all its nodes, in order)
+    n_nodes, depth = 1, 0
+    while n_nodes:
+        count = np.bincount(node, minlength=n_nodes)
+        size = count if w is None else np.bincount(node, weights=w, minlength=n_nodes)
+        objs = list(map(Terminal, map(float, size.tolist())))
+        splits = []
+        levels.append((splits, objs))
+        cand = count > 1
+        if (params.max_depth is not None and depth >= params.max_depth) or not cand.any():
+            break
+        keep = cand[node]
+        rows, node = rows[keep], node[keep]
+        w = None if w is None else w[keep]
+        # Segments: the candidate nodes in order.
+        seg = (np.cumsum(cand) - 1)[node]
+        starts = np.cumsum(count[cand]) - count[cand]
+        if weighted:
+            ok, found, left, right = _split_single(X, miss, n_labels, rows, seg, starts, rng)
         else:
-            node, (idx_l, w_l, idx_r, w_r) = drawn
-            stack.append((idx_r, w_r, depth + 1, node, "right"))
-            stack.append((idx_l, w_l, depth + 1, node, "left"))
-        if parent is None:
-            tree = node
+            ok, found, left, right = _split_hyperplane(
+                X, miss, n_labels, rows, seg, starts, rng, params.ndim
+            )
+        splits += found
+        for i, p in zip(np.flatnonzero(cand)[ok].tolist(), splits):
+            objs[i] = p
+        rank = np.cumsum(ok) - 1
+        kid = 2 * rank[seg] + right
+        one = ok[seg] & (left | right)
+        if w is None:
+            rows, kid, w_kid = rows[one], kid[one], None
         else:
-            setattr(parent, side, node)
-    return tree
+            wl = np.bincount(seg[left], weights=w[left], minlength=len(ok))[ok]
+            wr = np.bincount(seg[right], weights=w[right], minlength=len(ok))[ok]
+            b = wl / (wl + wr)
+            for p, frac in zip(splits, b.tolist()):
+                p.left_fraction = frac
+            both = np.flatnonzero(ok[seg] & ~(left | right))
+            bb = b[rank[seg[both]]]
+            rows = np.concatenate([rows[one], rows[both], rows[both]])
+            kid = np.concatenate([kid[one], kid[both], kid[both] + 1])
+            w_kid = np.concatenate([w[one], bb * w[both], (1.0 - bb) * w[both]])
+            kept = w_kid >= WEIGHT_FLOOR
+            rows, kid, w_kid = rows[kept], kid[kept], w_kid[kept]
+        order = np.argsort(kid, kind="stable")
+        rows, node = rows[order], kid[order]
+        w = None if w_kid is None else w_kid[order]
+        n_nodes = 2 * len(splits)
+        depth += 1
+    for (splits, _), (_, below) in zip(levels, levels[1:]):
+        for p, lt, rt in zip(splits, below[0::2], below[1::2]):
+            p.left, p.right = lt, rt
+    return levels[0][1][0]
 
 
 def leaf_depths(tree) -> np.ndarray:
@@ -351,35 +432,32 @@ def _tree_rng(seed: int, tree_index: int):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tree_index,)))
 
 
-def _grow_one(ds: Dataset, params: ForestParams, n_sub: int, tree_index: int):
-    rng = _tree_rng(params.seed, tree_index)
-    n = ds.n_rows
-    if n_sub < n:
-        p = ds.weights / ds.weights.sum()
-        idx = rng.choice(n, size=n_sub, replace=False, p=p)
-    else:
-        idx = np.arange(n)
-    w = np.ones(len(idx)) if params.model_kind == "single" else None
-    return _grow(ds, idx, w, rng, params)
-
-
 def fit_forest(ds: Dataset, params: ForestParams, threads: int = 1) -> Forest:
     """Grow `params.n_trees` trees on (weighted, without-replacement)
-    subsamples of `ds`.  Deterministic in (ds, params, seed).
+    subsamples of `ds`.  Deterministic in (ds, params, seed): tree k draws
+    from its own stream `_tree_rng(seed, k)`, its subsample first.
 
-    `threads` is accepted and ignored, for backward compatibility: trees
-    grow one after another, since per-node Python work holds the
-    interpreter lock and a thread pool measured no faster.
+    `threads` is accepted and ignored, for backward compatibility.
     """
     if ds.n_rows < 2:
         raise FitError("need at least 2 rows to fit")
-    if not _eligible_vars(ds, np.arange(ds.n_rows)):
+    X, miss = _cells(ds)
+    lo, hi = _ranges(X, ~miss, [0])
+    if not (lo < hi).any():
         raise FitError("no column has >= 2 distinct non-missing values")
     n_sub = ds.n_rows if params.subsample is None else min(params.subsample, ds.n_rows)
     if n_sub < 2:
         raise FitError("subsample size must be >= 2")
-
-    trees = [_grow_one(ds, params, n_sub, k) for k in range(params.n_trees)]
+    n_labels = np.array([len(c.labels) if c.kind == "categorical" else 0 for c in ds.columns])
+    p = ds.weights / ds.weights.sum()
+    trees = []
+    for k in range(params.n_trees):
+        rng = _tree_rng(params.seed, k)
+        if n_sub < ds.n_rows:
+            idx = rng.choice(ds.n_rows, size=n_sub, replace=False, p=p)
+        else:
+            idx = np.arange(ds.n_rows)
+        trees.append(_grow(X, miss, n_labels, idx, rng, params))
     schema = [
         {"name": name, "kind": c.kind, "labels": c.labels}
         for name, c in zip(ds.names, ds.columns)
@@ -568,6 +646,10 @@ def _project(flat: FlatForest, X, miss, rows, h):
     (missing, or categories without a coefficient) contribute the stored
     imputation."""
     y = np.zeros(len(rows))
+    # Cells are gathered from the flattened arrays, by one index each.
+    X_flat, miss_flat, coef_flat = X.ravel(), miss.ravel(), flat.cat_coef.ravel()
+    row_at = rows * X.shape[1]
+    width = flat.cat_coef.shape[1]
     for ptr, tvar, numeric in ((flat.num_ptr, flat.num_var, True),
                                (flat.cat_ptr, flat.cat_var, False)):
         start = ptr[h]
@@ -575,22 +657,23 @@ def _project(flat: FlatForest, X, miss, rows, h):
         for t in range(int(count.max(initial=0))):
             sel = _every(count > t)
             j = start[sel] + t
-            r, v = rows[sel], tvar[j]
-            known, vals = ~miss[r, v], X[r, v]
+            at = row_at[sel] + tvar[j]
+            known, vals = ~miss_flat[at], X_flat[at]
             if numeric:
                 y[sel] += np.where(known, flat.num_coef[j] * vals, flat.num_impute[j])
                 continue
             codes = vals.astype(np.intp)
-            ok = known & (codes >= 0) & (codes < flat.cat_coef.shape[1])
-            picked = flat.cat_coef[j, np.where(ok, codes, 0)]
+            ok = known & (codes >= 0) & (codes < width)
+            picked = coef_flat[j * width + np.where(ok, codes, 0)]
             y[sel] += np.where(ok & ~np.isnan(picked), picked, flat.cat_impute[j])
     return y
 
 
 def _sides_of(flat: FlatForest, X, miss, rows, nodes, kind):
     """Masks of the (row, node) pairs each split sends left and right; a
-    pair in neither goes down both branches.  The rules are those of
-    `_sides` and of the fit's hyperplane projection."""
+    pair in neither goes down both branches.  The rules are the fit's: a
+    numeric threshold, a categorical subset of the codes present at fit
+    time, and the hyperplane projection with stored imputations."""
     left = np.zeros(len(rows), dtype=bool)
     right = np.zeros(len(rows), dtype=bool)
     for k in (NUMERIC, CATEGORICAL, HYPERPLANE):
@@ -603,8 +686,8 @@ def _sides_of(flat: FlatForest, X, miss, rows, nodes, kind):
             go = _project(flat, X, miss, r, flat.slot[n]) <= flat.value[n]
             left[sel], right[sel] = go, ~go
             continue
-        v = flat.var[n]
-        known, vals = ~miss[r, v], X[r, v]
+        at = r * X.shape[1] + flat.var[n]
+        known, vals = ~miss.ravel()[at], X.ravel()[at]
         if k == NUMERIC:
             go = known & (vals <= flat.value[n])
             left[sel], right[sel] = go, known & ~go
@@ -632,11 +715,7 @@ def descend(flat: FlatForest, ds: Dataset, trees: range, weighted: bool,
     With `every_node`, the triples of every node reached are returned.
     """
     n = ds.n_rows
-    X = np.empty((n, ds.n_cols))
-    miss = np.empty((n, ds.n_cols), dtype=bool)
-    for j, col in enumerate(ds.columns):
-        X[:, j] = col.values
-        miss[:, j] = col.missing
+    X, miss = _cells(ds)
     rows = np.tile(np.arange(n), len(trees))
     nodes = np.repeat(flat.roots[trees.start : trees.stop], n)
     w = np.ones(len(rows)) if weighted else None

@@ -135,10 +135,26 @@ class CondensedMatrix:
 
     @classmethod
     def read_csv(cls, path) -> "CondensedMatrix":
+        """Read the square matrix `write_csv` writes: n is the header
+        row's length, and each of the n rows that follow has n cells.  Rows
+        are read one at a time, and only the cells beyond the diagonal are
+        parsed, straight into the condensed array.  A missing, extra,
+        short or long row raises ValueError naming it."""
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        body = np.array([[float(c) for c in row] for row in rows[1:]])
-        return cls.from_square(body)
+            reader = csv.reader(fh)
+            n = len(next(reader, []))
+            out = cls(n)
+            i = -1
+            for i, row in enumerate(reader):
+                if i >= n:
+                    raise ValueError(f"{path}: row {i + 1} beyond the {n} the header names")
+                if len(row) != n:
+                    raise ValueError(f"{path}: row {i + 1} has {len(row)} cells, not {n}")
+                at = _cell(n, i, i + 1)
+                out.values[at : at + n - 1 - i] = [float(c) for c in row[i + 1 :]]
+        if i + 1 < n:
+            raise ValueError(f"{path}: {i + 1} rows, but the header names {n}")
+        return out
 
     def write_binary(self, path) -> None:
         with open(path, "wb") as fh:

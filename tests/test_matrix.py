@@ -56,6 +56,33 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(m.values, again.values)
 
 
+@pytest.mark.parametrize(
+    "damage, match",
+    [
+        (lambda lines: lines[:-1], "5 rows, but the header names 6"),
+        (lambda lines: lines + [lines[-1]], "row 7 beyond the 6"),
+        (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:], "row 3 has 5 cells"),
+        (lambda lines: lines[:2] + [lines[2] + ",0.5"] + lines[3:], "row 2 has 7 cells"),
+    ],
+    ids=["missing row", "extra row", "short row", "long row"],
+)
+def test_csv_read_refuses_malformed_rows(tmp_path, damage, match):
+    path = tmp_path / "dist.csv"
+    random_matrix(6, seed=2).write_csv(path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(damage(lines)) + "\n")
+    with pytest.raises(ValueError, match=match):
+        CondensedMatrix.read_csv(path)
+
+
+def test_csv_read_refuses_a_truncated_file(tmp_path):
+    path = tmp_path / "dist.csv"
+    random_matrix(6, seed=2).write_csv(path)
+    path.write_bytes(path.read_bytes()[:-40])
+    with pytest.raises(ValueError, match="row 6 has"):
+        CondensedMatrix.read_csv(path)
+
+
 def test_csv_bytes_match_csv_writer(tmp_path):
     # The square matrix through csv.writer, one repr per cell: the format
     # write_csv keeps.

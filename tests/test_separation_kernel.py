@@ -6,9 +6,9 @@ tables."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from recursive_grower import _sides, _split
 
 from isodist import distance
-from isodist import forest as forest_mod
 from isodist.data import Column, Dataset, deduplicate
 from isodist.depth import expected_isolation, standardize_isolation, standardize_separation
 from isodist.distance import anomaly_scores, separation_matrix, tree_depth_sums
@@ -46,7 +46,8 @@ def node_by_node(tree, ds, D, iso):
     weighted isolation depths into `iso`, visiting the node objects in
     pre-order: every node two rows reach adds w_i*w_j (3*w_i*w_j at a
     terminal), every terminal w*(depth + expected isolation among its
-    size).  Rows go down a node by the fit's own `_sides`/`_split`."""
+    size).  Rows go down a node by the recursive grower's `_sides` and
+    `_split`."""
     stack = [(tree, np.arange(ds.n_rows), np.ones(ds.n_rows), 0)]
     while stack:
         node, idx, w, depth = stack.pop()
@@ -63,8 +64,8 @@ def node_by_node(tree, ds, D, iso):
             il, wl, ir, wr = idx[left], w[left], idx[~left], w[~left]
         else:
             col = ds.columns[node.var]
-            sides = forest_mod._sides(node, col.values[idx], ~col.missing[idx])
-            il, wl, ir, wr = forest_mod._split(idx, w, *sides, node.left_fraction)
+            sides = _sides(node, col.values[idx], ~col.missing[idx])
+            il, wl, ir, wr = _split(idx, w, *sides, node.left_fraction)
         stack += [(node.right, ir, wr, depth + 1), (node.left, il, wl, depth + 1)]
 
 
