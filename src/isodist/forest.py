@@ -15,15 +15,19 @@ Two tree families:
 
 Each tree grows from its own RNG stream spawned from (seed, tree index),
 so a tree does not depend on the trees grown before it; its subsample is
-the stream's first draw.  `_grow` grows a tree one depth level at a time.
-The tree's rows (and their both-branch copies, with weights) stay sorted
-by the node they reach, so eligible columns, ranges, weight sums and
-hyperplane medians are segment reductions over all of a level's nodes,
-and each level draws its random numbers in blocks: uniform keys choosing
-each node's columns, then thresholds, category coins or hyperplane
-coefficients, and again only for the draws that failed.  When the tree is
-done its levels are linked into the node dataclasses, which are the fit's
-output and the model file's content.
+the stream's first draw.  `_grow` grows a batch of trees (up to GROW_CELLS
+subsample cells) one depth level at a time, in one loop for all of them.
+A level's nodes are those of every tree, sorted by (tree, node), and its
+rows (with the both-branch copies and their weights) stay sorted by the
+node they reach, so eligible columns, ranges, weight sums and hyperplane
+medians are segment reductions over all of the level's nodes at once.
+Each level draws its random numbers in blocks: uniform keys choosing each
+node's columns, then hyperplane coefficients, thresholds or category
+coins, and again only for the draws that failed.  At each such draw every
+tree takes its own entries from its own stream, in the order it would
+draw alone, so a tree is the same however many grow beside it.  When the
+batch is done its levels are linked into the node dataclasses, which are
+the fit's output and the model file's content.
 
 Prediction reads no node object.  `flat_forest` compiles a forest's trees
 once into flat pre-order arrays (`FlatForest`), kept on the forest until
@@ -50,6 +54,11 @@ FORMAT_VERSION = 1
 # Rows whose accumulated weight drops below this are dropped from a node;
 # both-branch routing of missing values would otherwise blow up node sizes.
 WEIGHT_FLOOR = 1e-8
+
+# Trees are grown together, as many at once as keep the cells of their
+# subsamples (rows x columns, the size of a level's temporaries) within
+# this count; a larger subsample grows one tree at a time.
+GROW_CELLS = 1 << 17
 
 # Retries for degenerate random draws (empty/full category subset, or a
 # threshold that rounds onto the range boundary) before giving up on the node.
@@ -121,6 +130,8 @@ class ForestParams:
             raise FitError("ndim must be >= 1")
         if self.n_trees < 1:
             raise FitError("need at least one tree")
+        if self.max_depth is not None and self.max_depth < 1:
+            raise FitError("max_depth must be >= 1")
 
 
 @dataclass
@@ -154,10 +165,26 @@ def _ranges(cells, known, starts):
     return lo, hi
 
 
-def _thresholds(rng, lo, hi):
+def _draw(rngs, owner, normal=False):
+    """One draw per entry of `owner`, which names the tree each entry
+    belongs to and lists every tree's entries together, in tree order:
+    each tree draws its entries' count from its own stream `rngs[t]`,
+    uniform in [0, 1) or Normal(0, 1).  Equal, entry for entry, to the
+    trees drawing one after another."""
+    counts = np.bincount(owner, minlength=len(rngs)).tolist()
+    parts = [
+        rng.standard_normal(c) if normal else rng.random(c)
+        for rng, c in zip(rngs, counts)
+        if c
+    ]
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+def _thresholds(rngs, owner, lo, hi):
     """One uniform draw in [lo[i], hi[i]) per entry, strictly below hi so
-    both branches are non-empty.  An entry whose draw rounds out of the
-    range draws again, up to MAX_REDRAWS rounds in all; NaN if none lands.
+    both branches are non-empty, from the stream of tree owner[i] (see
+    `_draw`).  An entry whose draw rounds out of the range draws again, up
+    to MAX_REDRAWS rounds in all; NaN if none lands.
 
     Where `hi - lo` overflows (endpoints near +-1.8e308) the draw is made
     in halved space; halving such large values is exact.
@@ -167,7 +194,7 @@ def _thresholds(rng, lo, hi):
     for _ in range(MAX_REDRAWS):
         if not len(todo):
             break
-        u = rng.random(len(todo))
+        u = _draw(rngs, owner[todo])
         a, b = lo[todo], hi[todo]
         with np.errstate(over="ignore", invalid="ignore"):
             span = b - a
@@ -179,11 +206,12 @@ def _thresholds(rng, lo, hi):
     return z
 
 
-def _subsets(rng, present):
+def _subsets(rngs, owner, present):
     """Per row of the bool table `present`, a fair coin for each present
-    code, drawn again, up to MAX_REDRAWS rounds in all, until the heads
-    are a proper non-empty subset.  Returns the heads as a table and the
-    mask of rows that got one."""
+    code from the stream of tree owner[row] (see `_draw`), drawn again, up
+    to MAX_REDRAWS rounds in all, until the heads are a proper non-empty
+    subset.  Returns the heads as a table and the mask of rows that got
+    one."""
     left = np.zeros_like(present)
     n_present = np.count_nonzero(present, axis=1)
     todo = np.arange(len(present))
@@ -192,7 +220,7 @@ def _subsets(rng, present):
             break
         p = present[todo]
         coin = np.zeros_like(p)
-        coin[p] = rng.random(np.count_nonzero(p)) < 0.5
+        coin[p] = _draw(rngs, np.broadcast_to(owner[todo, None], p.shape)[p]) < 0.5
         heads = np.count_nonzero(coin, axis=1)
         good = (heads > 0) & (heads < n_present[todo])
         left[todo[good]] = coin[good]
@@ -217,17 +245,17 @@ def _segment_medians(seg, vals, n_seg):
     return med
 
 
-def _split_single(X, miss, n_labels, rows, seg, starts, rng):
-    """Draw a single-variable split for each segment of rows.  Returns
-    (ok, splits, left, right): ok marks the segments that got a split,
-    `splits` holds their node objects (left_fraction still unset), and
-    left/right mark the rows each sends that way; a row in neither goes
-    down both branches."""
+def _split_single(X, miss, n_labels, rows, seg, starts, owner, rngs):
+    """Draw a single-variable split for each segment of rows, segment s
+    from the stream of tree owner[s].  Returns (ok, splits, left, right):
+    ok marks the segments that got a split, `splits` holds their node
+    objects (left_fraction still unset), and left/right mark the rows each
+    sends that way; a row in neither goes down both branches."""
     n_seg, n_cols = len(starts), X.shape[1]
     lo, hi = _ranges(X[rows], ~miss[rows], starts)
     eligible = lo < hi
     # The first eligible column in a uniform order is uniform over them.
-    keys = rng.random(eligible.shape)
+    keys = _draw(rngs, np.repeat(owner, n_cols)).reshape(eligible.shape)
     keys[~eligible] = 2.0
     var = np.argmin(keys, axis=1)
     s = np.arange(n_seg)
@@ -235,7 +263,7 @@ def _split_single(X, miss, n_labels, rows, seg, starts, rng):
     cat = n_labels[var] > 0
     thr = np.full(n_seg, np.nan)
     num = np.flatnonzero(ok & ~cat)
-    thr[num] = _thresholds(rng, lo[num, var[num]], hi[num, var[num]])
+    thr[num] = _thresholds(rngs, owner[num], lo[num, var[num]], hi[num, var[num]])
     ok[num] = ~np.isnan(thr[num])
     at = rows * n_cols + var[seg]
     x, known = X.ravel()[at], ~miss.ravel()[at]
@@ -248,7 +276,7 @@ def _split_single(X, miss, n_labels, rows, seg, starts, rng):
         present = np.zeros((n_seg, int(n_labels.max())), dtype=bool)
         present[seg[hit], codes] = True
         left_set = np.zeros_like(present)
-        left_set[cats], ok[cats] = _subsets(rng, present[cats])
+        left_set[cats], ok[cats] = _subsets(rngs, owner[cats], present[cats])
         left[hit] = left_set[seg[hit], codes]
     splits = []
     size = n_labels.tolist()
@@ -262,18 +290,20 @@ def _split_single(X, miss, n_labels, rows, seg, starts, rng):
     return ok, splits, left, known & ~left
 
 
-def _split_hyperplane(X, miss, n_labels, rows, seg, starts, rng, ndim):
+def _split_hyperplane(X, miss, n_labels, rows, seg, starts, owner, rngs, ndim):
     """Draw a hyperplane split for each segment of rows, over up to `ndim`
-    of its eligible columns.  Returns (ok, splits, left, right) as
+    of its eligible columns, segment s from the stream of tree owner[s].
+    Returns (ok, splits, left, right) as
     `_split_single` does; every row goes one way."""
     n_seg, n_cols = len(starts), X.shape[1]
     lo, hi = _ranges(X[rows], ~miss[rows], starts)
     eligible = lo < hi
     # The k smallest of uniform keys: k columns uniform among the eligible.
-    keys = rng.random(eligible.shape)
+    keys = _draw(rngs, np.repeat(owner, n_cols)).reshape(eligible.shape)
     keys[~eligible] = 2.0
     pick = np.argsort(keys, axis=1)[:, :ndim]
-    used = np.arange(pick.shape[1]) < np.minimum(ndim, eligible.sum(axis=1))[:, None]
+    n_terms = np.minimum(ndim, eligible.sum(axis=1))
+    used = np.arange(pick.shape[1]) < n_terms[:, None]
     # A segment's terms: numeric columns first, then categorical ones,
     # each kind in column order; 2 * n_cols past its last term.
     terms = np.sort(np.where(used, pick + n_cols * (n_labels[pick] > 0), 2 * n_cols), axis=1)
@@ -281,8 +311,9 @@ def _split_hyperplane(X, miss, n_labels, rows, seg, starts, rng, ndim):
     var = terms % n_cols
     cat = valid & (n_labels[var] > 0)
     num = valid & ~cat
+    term_owner = np.broadcast_to(owner[:, None], terms.shape)
     coef = np.zeros(terms.shape)
-    coef[num] = rng.standard_normal(np.count_nonzero(num))
+    coef[num] = _draw(rngs, term_owner[num], normal=True)
     # Row j of `cat_coef` holds categorical term j's coefficients by code,
     # NaN for the codes absent at its segment.
     term_id = np.cumsum(cat).reshape(cat.shape) - 1
@@ -295,7 +326,8 @@ def _split_hyperplane(X, miss, n_labels, rows, seg, starts, rng, ndim):
         present[term_id[seg[c], t], x[c].astype(np.intp)] = True
         cells.append((x, known))
     cat_coef = np.full(present.shape, np.nan)
-    cat_coef[present] = rng.standard_normal(np.count_nonzero(present))
+    cat_owner = np.broadcast_to(term_owner[cat][:, None], present.shape)
+    cat_coef[present] = _draw(rngs, cat_owner[present], normal=True)
 
     y = np.zeros(len(rows))
     impute = np.zeros(terms.shape)
@@ -324,47 +356,49 @@ def _split_hyperplane(X, miss, n_labels, rows, seg, starts, rng, ndim):
     lo_y, hi_y = np.minimum.reduceat(y, starts), np.maximum.reduceat(y, starts)
     ok = lo_y < hi_y
     thr = np.full(n_seg, np.nan)
-    thr[ok] = _thresholds(rng, lo_y[ok], hi_y[ok])
+    thr[ok] = _thresholds(rngs, owner[ok], lo_y[ok], hi_y[ok])
     ok &= ~np.isnan(thr)
-    splits = []
-    for i in np.flatnonzero(ok).tolist():
-        node = HyperplaneSplit([], [], [], [], [], [], threshold=float(thr[i]))
-        for t in np.flatnonzero(valid[i]).tolist():
-            v = int(var[i, t])
-            if cat[i, t]:
-                node.cat_vars.append(v)
-                node.cat_coefs.append(cat_coef[term_id[i, t], : n_labels[v]].copy())
-                node.cat_imputes.append(float(impute[i, t]))
-            else:
-                node.num_vars.append(v)
-                node.num_coefs.append(float(coef[i, t]))
-                node.num_imputes.append(float(impute[i, t]))
-        splits.append(node)
+    # The node objects, from Python lists: a segment's terms are its first
+    # k slots, the first j of them numeric.
+    size = n_labels.tolist()
+    cat_rows = iter(cat_coef[term_id[ok][cat[ok]]])
+    splits = [
+        HyperplaneSplit(vs[:j], cs[:j], ims[:j], vs[j:k],
+                        [next(cat_rows)[: size[v]].copy() for v in vs[j:k]], ims[j:k], z)
+        for z, j, k, vs, cs, ims in zip(
+            thr[ok].tolist(), num[ok].sum(axis=1).tolist(), n_terms[ok].tolist(),
+            var[ok].tolist(), coef[ok].tolist(), impute[ok].tolist(),
+        )
+    ]
     left = y <= thr[seg]
     return ok, splits, left, ~left
 
 
-def _grow(X, miss, n_labels, idx, rng, params: ForestParams):
-    """Grow one tree on rows `idx` of the cells (X, miss), one depth level
-    at a time, and return its root.
+def _grow(X, miss, n_labels, idxs, rngs, params: ForestParams):
+    """Grow one tree per subsample in `idxs` on the cells (X, miss), tree
+    t from the stream rngs[t], all one depth level at a time; returns
+    their roots.
 
-    The tree's rows are kept sorted by the node they reach at the current
-    level: a single-variable model carries each row's weight and sends a
-    row its split cannot place down both branches with weights b*w and
-    (1 - b)*w, b the weight share of the split's placed rows sent left,
-    dropping copies below WEIGHT_FLOOR.  Each level draws the splits of
-    all its nodes that hold >= 2 rows at once; a node that gets none is a
-    terminal.  The split of a level's j-th split node has children 2j and
-    2j + 1 on the next level."""
+    A level's nodes are those of every tree, sorted by (tree, node), and
+    its rows are kept sorted by the node they reach: a single-variable
+    model carries each row's weight and sends a row its split cannot place
+    down both branches with weights b*w and (1 - b)*w, b the weight share
+    of the split's placed rows sent left, dropping copies below
+    WEIGHT_FLOOR.  Each level draws the splits of all its nodes that hold
+    >= 2 rows at once, each tree from its own stream in the order it would
+    draw alone; a node that gets none is a terminal.  The level's j-th
+    split has children 2j and 2j + 1 on the next level, so every tree's
+    nodes stay together."""
     weighted = params.model_kind == "single"
-    rows = idx
+    rows = np.concatenate(idxs)
+    node = np.repeat(np.arange(len(idxs)), [len(i) for i in idxs])
     w = np.ones(len(rows)) if weighted else None
-    node = np.zeros(len(rows), dtype=np.intp)
+    tree = np.arange(len(idxs))  # the tree of each node of the level
     levels = []  # per depth: (its split nodes, in order; all its nodes, in order)
-    n_nodes, depth = 1, 0
-    while n_nodes:
-        count = np.bincount(node, minlength=n_nodes)
-        size = count if w is None else np.bincount(node, weights=w, minlength=n_nodes)
+    depth = 0
+    while len(tree):
+        count = np.bincount(node, minlength=len(tree))
+        size = count if w is None else np.bincount(node, weights=w, minlength=len(tree))
         objs = list(map(Terminal, map(float, size.tolist())))
         splits = []
         levels.append((splits, objs))
@@ -377,11 +411,14 @@ def _grow(X, miss, n_labels, idx, rng, params: ForestParams):
         # Segments: the candidate nodes in order.
         seg = (np.cumsum(cand) - 1)[node]
         starts = np.cumsum(count[cand]) - count[cand]
+        owner = tree[cand]
         if weighted:
-            ok, found, left, right = _split_single(X, miss, n_labels, rows, seg, starts, rng)
+            ok, found, left, right = _split_single(
+                X, miss, n_labels, rows, seg, starts, owner, rngs
+            )
         else:
             ok, found, left, right = _split_hyperplane(
-                X, miss, n_labels, rows, seg, starts, rng, params.ndim
+                X, miss, n_labels, rows, seg, starts, owner, rngs, params.ndim
             )
         splits += found
         for i, p in zip(np.flatnonzero(cand)[ok].tolist(), splits):
@@ -407,12 +444,12 @@ def _grow(X, miss, n_labels, idx, rng, params: ForestParams):
         order = np.argsort(kid, kind="stable")
         rows, node = rows[order], kid[order]
         w = None if w_kid is None else w_kid[order]
-        n_nodes = 2 * len(splits)
+        tree = np.repeat(owner[ok], 2)
         depth += 1
     for (splits, _), (_, below) in zip(levels, levels[1:]):
         for p, lt, rt in zip(splits, below[0::2], below[1::2]):
             p.left, p.right = lt, rt
-    return levels[0][1][0]
+    return levels[0][1]
 
 
 def leaf_depths(tree) -> np.ndarray:
@@ -435,7 +472,8 @@ def _tree_rng(seed: int, tree_index: int):
 def fit_forest(ds: Dataset, params: ForestParams, threads: int = 1) -> Forest:
     """Grow `params.n_trees` trees on (weighted, without-replacement)
     subsamples of `ds`.  Deterministic in (ds, params, seed): tree k draws
-    from its own stream `_tree_rng(seed, k)`, its subsample first.
+    from its own stream `_tree_rng(seed, k)`, its subsample first, so the
+    trees do not depend on how many of them `_grow` grows together.
 
     `threads` is accepted and ignored, for backward compatibility.
     """
@@ -451,13 +489,16 @@ def fit_forest(ds: Dataset, params: ForestParams, threads: int = 1) -> Forest:
     n_labels = np.array([len(c.labels) if c.kind == "categorical" else 0 for c in ds.columns])
     p = ds.weights / ds.weights.sum()
     trees = []
-    for k in range(params.n_trees):
-        rng = _tree_rng(params.seed, k)
-        if n_sub < ds.n_rows:
-            idx = rng.choice(ds.n_rows, size=n_sub, replace=False, p=p)
-        else:
-            idx = np.arange(ds.n_rows)
-        trees.append(_grow(X, miss, n_labels, idx, rng, params))
+    batch = max(1, GROW_CELLS // (n_sub * ds.n_cols))
+    for k0 in range(0, params.n_trees, batch):
+        rngs = [_tree_rng(params.seed, k) for k in range(k0, min(k0 + batch, params.n_trees))]
+        idxs = [
+            rng.choice(ds.n_rows, size=n_sub, replace=False, p=p)
+            if n_sub < ds.n_rows
+            else np.arange(ds.n_rows)
+            for rng in rngs
+        ]
+        trees += _grow(X, miss, n_labels, idxs, rngs, params)
     schema = [
         {"name": name, "kind": c.kind, "labels": c.labels}
         for name, c in zip(ds.names, ds.columns)

@@ -103,35 +103,22 @@ class CondensedMatrix:
     def write_csv(self, path, names=None) -> None:
         """The square matrix with a header row, each cell as `repr` of
         its float, rows ending in CRLF, as `csv.writer` writes them.  Each
-        condensed cell is formatted once and serves both of its places."""
+        distinct value (bit pattern, so -0.0 stays apart from 0.0) is
+        formatted once, and each row joins the texts of its cells."""
         if names is None:
             names = [f"row{i}" for i in range(self.n)]
         n = self.n
-        starts = _cell(n, np.arange(n), np.arange(1, n + 1)).tolist()
-        # texts[j]: row j's cells (j, k), k > j, formatted and joined, with
-        # a comma after each; at[j]: where the cell of the next row to be
-        # written starts.  One string per row costs about a byte per
-        # character, where a string per cell would cost some 50 more.
-        texts, at = [], []
+        bits, code = np.unique(self.values.view(np.int64), return_inverse=True)
+        texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerow(names)
             for i in range(n):
                 # Row i: the cells (j, i) above the diagonal, its zero,
                 # then the cells (i, j) beyond it.
-                line = []
-                for j, text in enumerate(texts):
-                    stop = text.index(",", at[j])
-                    line.append(text[at[j] : stop])
-                    at[j] = stop + 1
-                line.append("0.0")
-                beyond = self.values[starts[i] : starts[i] + n - 1 - i].tolist()
-                text = ",".join(map(float.__repr__, beyond))
-                if text:
-                    line.append(text)
-                fh.write(",".join(line))
+                above = texts[code[_cell(n, np.arange(i), i)]]
+                beyond = texts[code[_cell(n, i, i + 1) : _cell(n, i, n)]]
+                fh.write(",".join([*above, "0.0", *beyond]))
                 fh.write("\r\n")
-                texts.append(text + ",")
-                at.append(0)
 
     @classmethod
     def read_csv(cls, path) -> "CondensedMatrix":

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import warnings
@@ -74,6 +75,14 @@ def test_fit_requires_a_splittable_column():
 def test_single_model_rejects_ndim():
     with pytest.raises(FitError):
         ForestParams(model_kind="single", ndim=2)
+
+
+@pytest.mark.parametrize("max_depth", [0, -5])
+def test_params_reject_max_depth_below_one(max_depth):
+    # A depth limit below 1 would leave every tree a lone terminal, and
+    # every distance and score 0.5.
+    with pytest.raises(FitError, match="max_depth"):
+        ForestParams(max_depth=max_depth)
 
 
 def test_determinism(normal_ds):
@@ -258,7 +267,9 @@ def test_overflowing_range_still_splits():
     assert not np.all(separation_matrix(forest, ds).values == 0.5)
     # A finite range keeps the plain formula lo + u * (hi - lo), an
     # overflowing one takes it on the halved endpoints, doubled.
-    z = _thresholds(np.random.default_rng(3), np.array([-2.0, -1e308]), np.array([5.0, 1e308]))
+    # Both entries draw from the one tree's stream.
+    z = _thresholds([np.random.default_rng(3)], np.zeros(2, dtype=np.intp),
+                    np.array([-2.0, -1e308]), np.array([5.0, 1e308]))
     u = np.random.default_rng(3).random(2)
     assert z[0] == -2.0 + u[0] * 7.0
     assert z[1] == 2.0 * (-0.5e308 + u[1] * 1e308)
@@ -440,6 +451,7 @@ MUTATIONS = {
         "single", lambda d: d["params"].update(n_trees=float("inf"))),
     "subsample size not a number": ("single", lambda d: d.update(n_sub="x")),
     "ndim 0": ("extended", lambda d: d["params"].update(ndim=0)),
+    "max_depth negative": ("single", lambda d: d["params"].update(max_depth=-5)),
     "no trees": ("single", lambda d: d["params"].update(n_trees=0)),
     "unknown model kind": ("single", lambda d: d["params"].update(model_kind="foo")),
     # Columns no split uses: remap_dataset reads them all.
@@ -667,17 +679,36 @@ def split_columns(tree):
     return np.array(cols)
 
 
+def column_0_shares(tree, sd):
+    """Per hyperplane of `tree` over column 0 and another numeric column,
+    column 0's share of the scale-free coefficients |c_j| * sd[j]."""
+    shares, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Terminal):
+            continue
+        stack += [node.left, node.right]
+        if isinstance(node, HyperplaneSplit) and 0 in node.num_vars and len(node.num_vars) > 1:
+            a = np.abs(node.num_coefs) * sd[node.num_vars]
+            shares.append(a[node.num_vars.index(0)] / a.sum())
+    return shares
+
+
 def fit_statistics(fit, kind, ndim):
     """Per tree its node count, mean and greatest leaf depth and share of
-    splits on column 0, and per forest its mean distance and mean score,
-    of forests that `fit` grows on 20 seeds of each of three tables: t4
+    splits on column 0, per forest its mean distance and mean score, and
+    per hyperplane column 0's share of the scale-free coefficients, of
+    forests that `fit` grows on 20 seeds of each of three tables: t4
     complete, t4 with missing cells, and mixed."""
     out = {}
     for table, key in (("t4", "dataset"), ("t4", "na"), ("mixed", "dataset")):
         stat = {"nodes": [], "mean depth": [], "max depth": [], "column 0": [],
                 "distance": [], "score": []}
+        if kind == "extended":
+            stat["column 0 weight"] = []
         for seed in range(20):
             ds = generate_scenario(table, 60, np.random.default_rng(seed))[key]
+            sd = np.array([np.std(c.values[~c.missing]) for c in ds.columns])
             forest = fit(ds, ForestParams(n_trees=4, seed=seed, model_kind=kind, ndim=ndim))
             for tree in forest.trees:
                 depths = leaf_depths(tree)
@@ -685,6 +716,8 @@ def fit_statistics(fit, kind, ndim):
                 stat["mean depth"].append(depths.mean())
                 stat["max depth"].append(depths.max())
                 stat["column 0"].append(np.mean(split_columns(tree) == 0))
+                if kind == "extended":
+                    stat["column 0 weight"] += column_0_shares(tree, sd)
             stat["distance"].append(separation_matrix(forest, ds).values.mean())
             stat["score"].append(anomaly_scores(forest, ds).mean())
         out[f"{table}-{key}"] = stat
@@ -695,8 +728,8 @@ def fit_statistics(fit, kind, ndim):
 def test_fit_matches_recursive_grower_in_distribution(kind, ndim):
     # Level-wise fitting draws in another order than the recursive grower
     # it replaced, so fixed-seed forests differ; the distributions must
-    # not.  Two-sided Mann-Whitney U per statistic: 80 trees or 20 forests
-    # a side, refused below p = 0.001.
+    # not.  Two-sided Mann-Whitney U per statistic: 80 trees, 20 forests
+    # or all hyperplanes a side, refused below p = 0.001.
     level = fit_statistics(fit_forest, kind, ndim)
     recursive = fit_statistics(recursive_fit, kind, ndim)
     p = {
@@ -735,6 +768,68 @@ def test_tree_deeper_than_the_recursion_limit(tmp_path):
     with pytest.raises(ModelFormatError, match="JSON nesting limit"):
         save_model(forest, path)
     assert not path.exists()
+
+
+def with_unseen_codes(ds, every=5):
+    """`ds` with every `every`-th categorical cell set to UNSEEN_CODE (-1),
+    as `remap_dataset` writes a label the model never saw."""
+    cols = [
+        Column(c.kind, np.where(np.arange(ds.n_rows) % every == 0, -1, c.values), c.missing,
+               c.labels) if c.kind == "categorical" else c
+        for c in ds.columns
+    ]
+    return Dataset(cols, list(ds.names), ds.weights)
+
+
+def batching_table(name):
+    """(dataset, extra ForestParams) of one table the batching test fits."""
+    t4 = generate_scenario("t4", 120, np.random.default_rng(1))
+    mixed = generate_scenario("mixed", 150, np.random.default_rng(2))["dataset"]
+    return {
+        "complete": (t4["dataset"], {}),
+        "missing cells": (t4["na"], {}),
+        "unseen codes": (with_unseen_codes(mixed), {}),
+        "mixed max_depth": (mixed, {"max_depth": 3}),
+        "mixed subsample": (mixed, {"subsample": 40}),
+        "deeper than the recursion limit": (
+            numeric_dataset([2.0 ** np.linspace(-1070, 1020, 3000)]), {}),
+    }[name]
+
+
+def model_digest(forest, path):
+    """The sha256 of `forest` as `save_model` writes it; for a tree too
+    deep for JSON, of its flat arrays."""
+    digest = hashlib.sha256()
+    try:
+        save_model(forest, path)
+        digest.update(path.read_bytes())
+    except ModelFormatError:
+        for v in vars(flat_forest(forest)).values():
+            if isinstance(v, np.ndarray):
+                digest.update(v.tobytes())
+    return digest.hexdigest()
+
+
+# On the subnormal end of the geometric column an extended node's
+# coefficient, Normal(0, 1) / (scale * sd), overflows to inf.
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@pytest.mark.parametrize("kind, ndim", [("single", 1), ("extended", 2)], ids=["single", "extended"])
+@pytest.mark.parametrize("table", ["complete", "missing cells", "unseen codes", "mixed max_depth",
+                                   "mixed subsample", "deeper than the recursion limit"])
+def test_batched_trees_equal_trees_grown_alone(monkeypatch, tmp_path, table, kind, ndim):
+    # Each tree draws from its own stream in the same order however many
+    # trees grow together, so batching leaves every tree as it is.
+    ds, extra = batching_table(table)
+    params = ForestParams(n_trees=3, seed=4, model_kind=kind, ndim=ndim, **extra)
+    assert params.n_trees * ds.n_rows * ds.n_cols <= forest_mod.GROW_CELLS  # one batch
+    digests = [model_digest(fit_forest(ds, params), tmp_path / "model.json")]
+    n_sub = ds.n_rows if params.subsample is None else params.subsample
+    # One tree at a time, then two at a time and the last alone.
+    for budget in (1, 2 * n_sub * ds.n_cols):
+        monkeypatch.setattr(forest_mod, "GROW_CELLS", budget)
+        digests.append(model_digest(fit_forest(ds, params), tmp_path / "model.json"))
+    assert digests[1] == digests[0]
+    assert digests[2] == digests[0]
 
 
 def test_load_rejects_deeply_nested_json(tmp_path):

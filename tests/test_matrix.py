@@ -103,6 +103,32 @@ def test_csv_bytes_match_csv_writer(tmp_path):
     assert path.read_bytes().startswith(b"row0,row1,row2,row3,row4,row5,row6\r\n0.0,1e-05,")
 
 
+SPECIAL_VALUES = {
+    "signed zeros": [0.0, -0.0, 0.0, -0.0, 1.0],
+    "subnormals": [5e-324, -5e-324, 3e-310, 2.2250738585072014e-308, -1e-320],
+    "huge": [1.7976931348623157e308, -1.7976931348623157e308, 1e308, np.inf, -np.inf, np.nan],
+    "duplicate heavy": [0.5, 0.25, 1 / 3, 0.5, 0.5],
+}
+
+
+@pytest.mark.parametrize("values", list(SPECIAL_VALUES))
+def test_csv_bytes_match_csv_writer_on_special_values(tmp_path, values):
+    # write_csv formats each distinct bit pattern once: -0.0 must keep its
+    # sign apart from 0.0, and repeated values share one text.
+    rng = np.random.default_rng(len(values))
+    n = 30
+    m = CondensedMatrix(n, rng.choice(SPECIAL_VALUES[values], n * (n - 1) // 2))
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"row{i}" for i in range(n)])
+        for row in m.to_square():
+            writer.writerow([repr(float(v)) for v in row])
+    path = tmp_path / "dist.csv"
+    m.write_csv(path)
+    assert path.read_bytes() == ref.read_bytes()
+
+
 def test_binary_round_trip(tmp_path):
     m = random_matrix(12, seed=9)
     path = tmp_path / "dist.bin"
