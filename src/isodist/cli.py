@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="fit a model and write it to JSON")
+    p_fit = sub.add_parser("fit", help="fit a model and write it to a model file")
     _add_data_flags(p_fit)
     _add_fit_flags(p_fit)
     p_fit.add_argument("--output", required=True)

@@ -27,7 +27,7 @@ coins, and again only for the draws that failed.  At each such draw every
 tree takes its own entries from its own stream, in the order it would
 draw alone, so a tree is the same however many grow beside it.  When the
 batch is done its levels are linked into the node dataclasses, which are
-the fit's output and the model file's content.
+the fit's output.
 
 Prediction reads no node object.  `flat_forest` compiles a forest's trees
 once into flat pre-order arrays (`FlatForest`), kept on the forest until
@@ -36,20 +36,28 @@ down all trees one depth level at a time, by the fit's rules: numeric
 threshold, categorical subset, both branches with weights b and 1 - b for
 a row a single-variable split cannot place, the WEIGHT_FLOOR drop, and the
 hyperplane projection with stored imputations.
+
+The model file is the FlatForest's stored arrays (STORED) in an .npz
+archive with a JSON header; `load_model` validates them with whole-array
+checks, derives the rest with the same `_finish` as `_compile`, and
+rebuilds the node objects from them in one pass per node kind.
 """
 
 from __future__ import annotations
 
+import gc
 import json
-import sys
-from dataclasses import dataclass, field
+import math
+import re
+import zipfile
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import depth as depth_math
 from .data import UNSEEN_CODE, Column, Dataset
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # Rows whose accumulated weight drops below this are dropped from a node;
 # both-branch routing of missing values would otherwise blow up node sizes.
@@ -132,6 +140,8 @@ class ForestParams:
             raise FitError("need at least one tree")
         if self.max_depth is not None and self.max_depth < 1:
             raise FitError("max_depth must be >= 1")
+        if self.subsample is not None and self.subsample < 2:
+            raise FitError("subsample size must be >= 2")
 
 
 @dataclass
@@ -484,8 +494,6 @@ def fit_forest(ds: Dataset, params: ForestParams, threads: int = 1) -> Forest:
     if not (lo < hi).any():
         raise FitError("no column has >= 2 distinct non-missing values")
     n_sub = ds.n_rows if params.subsample is None else min(params.subsample, ds.n_rows)
-    if n_sub < 2:
-        raise FitError("subsample size must be >= 2")
     n_labels = np.array([len(c.labels) if c.kind == "categorical" else 0 for c in ds.columns])
     p = ds.weights / ds.weights.sum()
     trees = []
@@ -531,6 +539,7 @@ class FlatForest:
     # plus the expected isolation among its fit-time size
     value: np.ndarray
     left_fraction: np.ndarray  # float64: b, the weight share sent left
+    size: np.ndarray  # float64: a terminal's fit-time size, 0 at a split
     end: np.ndarray  # int32
     depth: np.ndarray  # int32
     # bool (categorical splits, 2, codes): [k, 0] the codes sent left,
@@ -581,9 +590,36 @@ def _shape(kind: np.ndarray, start: int):
     return end + start, depth
 
 
+def _finish(trees, threshold, **stored) -> FlatForest:
+    """The FlatForest of `trees` from its stored fields (see STORED): each
+    node's subtree end and depth, the slot of a categorical or hyperplane
+    split, and the value of a node, a split's threshold or a terminal's
+    isolation depth, are derived here.  `threshold` becomes the value
+    array, in place: a copy would raise the peak memory of a compile."""
+    kind, roots = stored["kind"], stored["roots"].tolist()
+    n = len(kind)
+    end = np.empty(n, dtype=np.int32)
+    depth = np.empty(n, dtype=np.int32)
+    # Tree by tree, which keeps the temporaries to the size of one tree.
+    for a, b in zip(roots, roots[1:]):
+        end[a:b], depth[a:b] = _shape(kind[a:b], a)
+    slot = np.full(n, -1, dtype=np.int32)
+    for k in (CATEGORICAL, HYPERPLANE):
+        idx = np.flatnonzero(kind == k)
+        slot[idx] = np.arange(len(idx))
+    # A terminal's isolation depth: its depth plus the expected isolation
+    # among its fit-time size, rounded, at least 1.
+    term = np.flatnonzero(kind == TERMINAL)
+    n_eff, inv = np.unique(np.maximum(1, np.rint(stored["size"][term])), return_inverse=True)
+    expected = np.array([depth_math.expected_isolation(int(k)) for k in n_eff])
+    value = threshold
+    value[term] = depth[term] + expected[inv]
+    return FlatForest(trees=tuple(trees), slot=slot, value=value, end=end, depth=depth, **stored)
+
+
 def _compile(trees) -> FlatForest:
     """`trees` as a FlatForest: one iterative pre-order pass per tree
-    collects the nodes, then each field is gathered per node kind."""
+    collects the nodes, then each stored field is gathered per node kind."""
     nodes, roots = [], []
     for tree in trees:
         roots.append(len(nodes))
@@ -595,42 +631,30 @@ def _compile(trees) -> FlatForest:
                 stack += (node.right, node.left)
     n = len(nodes)
     kind = np.fromiter((_KIND[type(x)] for x in nodes), dtype=np.int8, count=n)
-    bounds = roots + [n]
-    end = np.empty(n, dtype=np.int32)
-    depth = np.empty(n, dtype=np.int32)
-    # Tree by tree, which keeps the temporaries to the size of one tree.
-    for a, b in zip(bounds, bounds[1:]):
-        end[a:b], depth[a:b] = _shape(kind[a:b], a)
     var = np.full(n, -1, dtype=np.int32)
-    slot = np.full(n, -1, dtype=np.int32)
-    value = np.zeros(n)
+    threshold = np.zeros(n)
     frac = np.zeros(n)
+    size = np.zeros(n)
 
     def of(cls):
         """The ids and the nodes of class `cls`, in pre-order."""
         return np.flatnonzero(kind == _KIND[cls]), [x for x in nodes if type(x) is cls]
 
     idx, sel = of(Terminal)
-    # A terminal's isolation depth: its depth plus the expected isolation
-    # among its fit-time size, rounded, at least 1.
-    n_eff, inv = np.unique(np.maximum(1, np.rint([x.size for x in sel])), return_inverse=True)
-    expected = np.array([depth_math.expected_isolation(int(k)) for k in n_eff])
-    value[idx] = depth[idx] + expected[inv]
+    size[idx] = [x.size for x in sel]
     for cls in (NumericSplit, CategoricalSplit):
         idx, sel = of(cls)
         var[idx] = [x.var for x in sel]
         frac[idx] = [x.left_fraction for x in sel]
     idx, nums = of(NumericSplit)
-    value[idx] = [x.threshold for x in nums]
-    idx, cats = of(CategoricalSplit)
-    slot[idx] = np.arange(len(idx))
+    threshold[idx] = [x.threshold for x in nums]
+    _, cats = of(CategoricalSplit)
     sides = np.zeros((len(cats), 2, max((len(x.present) for x in cats), default=1)), dtype=bool)
     for k, x in enumerate(cats):
         sides[k, 0, : len(x.present)] = x.present & x.left_set
         sides[k, 1, : len(x.present)] = x.present & ~x.left_set
     idx, hyps = of(HyperplaneSplit)
-    slot[idx] = np.arange(len(idx))
-    value[idx] = [x.threshold for x in hyps]
+    threshold[idx] = [x.threshold for x in hyps]
 
     def terms(attr, dtype=np.float64):
         """One field of every hyperplane term, hyperplane after hyperplane."""
@@ -640,16 +664,14 @@ def _compile(trees) -> FlatForest:
     cat_coef = np.full((len(cat_coefs), max(map(len, cat_coefs), default=1)), np.nan)
     for k, c in enumerate(cat_coefs):
         cat_coef[k, : len(c)] = c
-    return FlatForest(
-        trees=tuple(trees),
-        roots=np.array(bounds, dtype=np.int64),
+    return _finish(
+        trees,
+        roots=np.array(roots + [n], dtype=np.int64),
         kind=kind,
         var=var,
-        slot=slot,
-        value=value,
+        threshold=threshold,
         left_fraction=frac,
-        end=end,
-        depth=depth,
+        size=size,
         sides=sides,
         num_ptr=np.cumsum([0] + [len(x.num_vars) for x in hyps], dtype=np.int32),
         num_var=terms("num_vars", np.int32),
@@ -832,214 +854,230 @@ def remap_dataset(forest: Forest, ds: Dataset) -> Dataset:
     return Dataset(cols, list(ds.names), ds.weights)
 
 
+
+
 # ---------------------------------------------------------------------------
-# Serialization: versioned JSON, floats at full round-trip precision.
+# Serialization: the FlatForest arrays in an uncompressed .npz archive, with
+# a JSON header (format_version, params, n_sub, schema) as a uint8 entry.
 
+# The file's array entries and their (dtype, ndim): the FlatForest fields
+# that `_finish` does not derive, and each node's threshold (0 at a
+# terminal), in the order written.
+STORED = {
+    "roots": (np.int64, 1), "kind": (np.int8, 1), "var": (np.int32, 1),
+    "threshold": (np.float64, 1), "left_fraction": (np.float64, 1), "size": (np.float64, 1),
+    "sides": (np.bool_, 3),
+    "num_ptr": (np.int32, 1), "num_var": (np.int32, 1), "num_coef": (np.float64, 1),
+    "num_impute": (np.float64, 1),
+    "cat_ptr": (np.int32, 1), "cat_var": (np.int32, 1), "cat_coef": (np.float64, 2),
+    "cat_impute": (np.float64, 1),
+}
 
-def _node_to_json(node):
-    if isinstance(node, Terminal):
-        return {"type": "terminal", "size": node.size}
-    if isinstance(node, NumericSplit):
-        return {
-            "type": "num",
-            "var": node.var,
-            "threshold": node.threshold,
-            "bl": node.left_fraction,
-            "left": _node_to_json(node.left),
-            "right": _node_to_json(node.right),
-        }
-    if isinstance(node, CategoricalSplit):
-        return {
-            "type": "cat",
-            "var": node.var,
-            "n_labels": len(node.left_set),
-            "left_set": np.flatnonzero(node.left_set).tolist(),
-            "present": np.flatnonzero(node.present).tolist(),
-            "bl": node.left_fraction,
-            "left": _node_to_json(node.left),
-            "right": _node_to_json(node.right),
-        }
-    if isinstance(node, HyperplaneSplit):
-        return {
-            "type": "hyp",
-            "num_vars": node.num_vars,
-            "num_coefs": node.num_coefs,
-            "num_imputes": node.num_imputes,
-            "cat_vars": node.cat_vars,
-            "cat_coefs": [
-                {str(code): c[code] for code in np.flatnonzero(~np.isnan(c))}
-                for c in node.cat_coefs
-            ],
-            "cat_sizes": [len(c) for c in node.cat_coefs],
-            "cat_imputes": node.cat_imputes,
-            "threshold": node.threshold,
-            "left": _node_to_json(node.left),
-            "right": _node_to_json(node.right),
-        }
-    raise TypeError(f"unknown node type {type(node)!r}")
+# Node kinds each model kind may contain.
+ALLOWED_KINDS = {"single": (TERMINAL, NUMERIC, CATEGORICAL), "extended": (TERMINAL, HYPERPLANE)}
 
-
-# Node types each model kind may contain.
-NODE_TYPES = {"single": ("terminal", "num", "cat"), "extended": ("terminal", "hyp")}
-
-
-def _schema_var(schema, var, kind, n_labels=None):
-    """`var` as an int, checked to index a `kind` column of `schema` that
-    has `n_labels` labels (categorical columns)."""
-    var = int(var)
-    if not 0 <= var < len(schema):
-        raise ModelFormatError(f"variable {var} outside a {len(schema)}-column schema")
-    spec = schema[var]
-    if spec["kind"] != kind:
-        raise ModelFormatError(f"{kind} split on {spec['kind']} column {var}")
-    if n_labels is not None and int(n_labels) != len(spec["labels"]):
-        raise ModelFormatError(
-            f"split expects {n_labels} labels, column {var} has {len(spec['labels'])}"
-        )
-    return var
-
-
-def _codes(codes):
-    """`codes`, checked to hold no negative category code: numpy would wrap
-    one onto the last labels.  Codes past the label count fail when used
-    as an index."""
-    if any(c < 0 for c in codes):
-        raise ModelFormatError(f"negative category code in {codes}")
-    return codes
-
-
-def _node_from_json(obj, schema, model_kind):
-    try:
-        kind = obj["type"]
-        if kind not in NODE_TYPES[model_kind]:
-            raise ModelFormatError(f"node type {kind!r} in a {model_kind} model")
-        if kind == "terminal":
-            return Terminal(size=float(obj["size"]))
-        left = _node_from_json(obj["left"], schema, model_kind)
-        right = _node_from_json(obj["right"], schema, model_kind)
-        if kind == "num":
-            return NumericSplit(
-                var=_schema_var(schema, obj["var"], "numeric"),
-                threshold=float(obj["threshold"]),
-                left_fraction=float(obj["bl"]),
-                left=left,
-                right=right,
-            )
-        if kind == "cat":
-            size = int(obj["n_labels"])
-            left_set = np.zeros(size, dtype=bool)
-            left_set[_codes(obj["left_set"])] = True
-            present = np.zeros(size, dtype=bool)
-            present[_codes(obj["present"])] = True
-            return CategoricalSplit(
-                var=_schema_var(schema, obj["var"], "categorical", size),
-                left_set=left_set,
-                present=present,
-                left_fraction=float(obj["bl"]),
-                left=left,
-                right=right,
-            )
-        num_keys = ("num_vars", "num_coefs", "num_imputes")
-        cat_keys = ("cat_vars", "cat_coefs", "cat_sizes", "cat_imputes")
-        for keys in (num_keys, cat_keys):
-            if len({len(obj[k]) for k in keys}) != 1:
-                raise ModelFormatError(f"hyperplane lists {keys} differ in length")
-        coefs = []
-        for cmap, size in zip(obj["cat_coefs"], obj["cat_sizes"]):
-            arr = np.full(int(size), np.nan)
-            for code, val in zip(_codes([int(c) for c in cmap]), cmap.values()):
-                arr[code] = float(val)
-            coefs.append(arr)
-        return HyperplaneSplit(
-            num_vars=[_schema_var(schema, v, "numeric") for v in obj["num_vars"]],
-            num_coefs=[float(v) for v in obj["num_coefs"]],
-            num_imputes=[float(v) for v in obj["num_imputes"]],
-            cat_vars=[
-                _schema_var(schema, v, "categorical", size)
-                for v, size in zip(obj["cat_vars"], obj["cat_sizes"])
-            ],
-            cat_coefs=coefs,
-            cat_imputes=[float(v) for v in obj["cat_imputes"]],
-            threshold=float(obj["threshold"]),
-            left=left,
-            right=right,
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        if isinstance(exc, ModelFormatError):
-            raise
-        raise ModelFormatError(f"malformed tree node: {exc}") from exc
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
 
 
 def save_model(forest: Forest, path) -> None:
-    """Write `forest` as JSON.  Each tree level nests one JSON object, so
-    a tree deeper than the JSON nesting limit (Python's recursion limit)
-    raises ModelFormatError and writes nothing."""
-    try:
-        text = json.dumps(
-            {
-                "format_version": FORMAT_VERSION,
-                "params": {
-                    "n_trees": forest.params.n_trees,
-                    "subsample": forest.params.subsample,
-                    "ndim": forest.params.ndim,
-                    "max_depth": forest.params.max_depth,
-                    "seed": forest.params.seed,
-                    "model_kind": forest.params.model_kind,
-                },
-                "n_sub": forest.n_sub,
-                "schema": forest.schema,
-                "trees": [_node_to_json(t) for t in forest.trees],
-            }
-        )
-    except RecursionError as exc:
-        raise ModelFormatError(
-            f"{path}: a tree is nested deeper than the JSON nesting limit "
-            f"({sys.getrecursionlimit()}, Python's recursion limit)"
-        ) from exc
-    with open(path, "w") as fh:
-        fh.write(text)
+    """Write `forest` to `path` as its compiled arrays; the compile stays
+    cached on the forest for later prediction."""
+    flat = flat_forest(forest)
+    header = {"format_version": FORMAT_VERSION, "params": asdict(forest.params),
+              "n_sub": forest.n_sub, "schema": forest.schema}
+    threshold = np.where(flat.kind == TERMINAL, 0.0, flat.value)
+    arrays = {name: threshold if name == "threshold" else getattr(flat, name) for name in STORED}
+    # To an open handle: given a path, numpy would append ".npz" to it.
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
+
+
+def _check(ok, problem: str) -> None:
+    if not ok:
+        raise ModelFormatError(problem)
+
+
+def _read_entries(fh) -> dict:
+    """The arrays of the .npz archive open in `fh`, by entry name.  Each
+    member's declared shape is checked against its stored size before it
+    is read, so a corrupted shape cannot request a huge allocation, and
+    each is read to its end, which checks its CRC."""
+    entries = {}
+    with zipfile.ZipFile(fh) as zf:
+        for info in zf.infolist():
+            _check(info.compress_type == zipfile.ZIP_STORED, f"entry {info.filename!r} is compressed")
+            with zf.open(info) as member:
+                shape, _, dtype = _NPY_HEADERS[np.lib.format.read_magic(member)](member)
+                _check(not dtype.hasobject, f"entry {info.filename!r} holds pickled objects")
+                _check(math.prod(shape) * dtype.itemsize <= info.file_size,
+                       f"entry {info.filename!r} declares more data than it holds")
+                member.seek(0)
+                entries[info.filename.removesuffix(".npy")] = np.lib.format.read_array(
+                    member, allow_pickle=False)
+                _check(not member.read(), f"entry {info.filename!r} holds more data than it declares")
+    return entries
+
+
+def _columns(var, n_labels, categorical: bool, what: str):
+    """The label counts of the columns `var`, checked to be in the schema
+    and categorical (or numeric)."""
+    _check(((var >= 0) & (var < len(n_labels))).all(),
+           f"{what} on a column outside a {len(n_labels)}-column schema")
+    counts = n_labels[var]
+    _check(((counts >= 0) == categorical).all(), f"{what} on a column of the other kind")
+    return counts
+
+
+def _validate(a: dict, model_kind: str, n_labels, n_trees: int, n_sub: int) -> None:
+    """Raise ModelFormatError unless the arrays `a` hold `n_trees` trees of
+    a `model_kind` model over columns with `n_labels` labels each (-1 for a
+    numeric column), fitted on subsamples of `n_sub` rows."""
+    for name, (dtype, ndim) in STORED.items():
+        _check(name in a and a[name].dtype == dtype and a[name].ndim == ndim,
+               f"entry {name!r} is missing or not a {ndim}-d {np.dtype(dtype)} array")
+    kind, roots = a["kind"], a["roots"]
+    n = len(kind)
+    _check(all(len(a[k]) == n for k in ("var", "threshold", "left_fraction", "size")),
+           "per-node entries differ in length")
+    _check(len(roots) == n_trees + 1 and roots[0] == 0 and roots[-1] == n
+           and (np.diff(roots) > 0).all(), "roots do not divide the nodes into the trees")
+    _check(np.isin(kind, ALLOWED_KINDS[model_kind]).all(), f"node kind not allowed in the {model_kind} model")
+    # In pre-order, a tree's running count of splits less terminals stays
+    # >= 0 before its last node and reaches -1 there.
+    run = np.cumsum(np.where(kind == TERMINAL, -1, 1))
+    run -= np.repeat(np.concatenate([[0], run])[roots[:-1]], np.diff(roots))
+    last = np.zeros(n, dtype=bool)
+    last[roots[1:] - 1] = True
+    _check((run[last] == -1).all() and (run[~last] >= 0).all(), "the nodes do not form trees")
+    _columns(a["var"][kind == NUMERIC], n_labels, False, "numeric split")
+    labels = _columns(a["var"][kind == CATEGORICAL], n_labels, True, "categorical split")
+    sides = a["sides"]
+    _check(sides.shape[:2] == (len(labels), 2) and sides.shape[2] >= 1,
+           "sides do not hold two code sets per categorical split")
+    _check(not (sides[:, 0] & sides[:, 1]).any(), "a category code goes both left and right")
+    past = np.arange(sides.shape[2]) >= labels[:, None]
+    _check(not (sides.any(axis=1) & past).any(), "category code at or past the column's label count")
+    n_hyp = np.count_nonzero(kind == HYPERPLANE)
+    for p in ("num", "cat"):
+        ptr = a[f"{p}_ptr"]
+        _check(len(ptr) == n_hyp + 1 and ptr[0] == 0 and (np.diff(ptr) >= 0).all()
+               and all(len(a[f"{p}_{t}"]) == ptr[-1] for t in ("var", "coef", "impute")),
+               f"{p}_ptr does not divide the {p}_* terms among the hyperplanes")
+    _columns(a["num_var"], n_labels, False, "hyperplane numeric term")
+    labels = _columns(a["cat_var"], n_labels, True, "hyperplane categorical term")
+    _check(a["cat_coef"].shape[1] >= 1, "cat_coef has no code column")
+    past = np.arange(a["cat_coef"].shape[1]) >= labels[:, None]
+    _check(not (~np.isnan(a["cat_coef"]) & past).any(),
+           "hyperplane coefficient at or past the column's label count")
+    size, frac = a["size"], a["left_fraction"]
+    _check((np.isfinite(size) & (size >= 0) & (np.rint(size) <= n_sub)).all(),
+           "a terminal size is not finite, or below 0, or above the subsample size")
+    _check(((frac >= 0) & (frac <= 1)).all(), "a left fraction is outside [0, 1]")
+
+
+def _trees(flat: FlatForest, n_labels) -> list:
+    """The node objects of `flat`'s trees, their roots in order: each kind's
+    nodes are built from `.tolist()` columns, then one pass links every
+    split to its children."""
+    kind = flat.kind
+    obj = np.empty(len(kind), dtype=object)
+    idx = np.flatnonzero(kind == TERMINAL)
+    obj[idx] = list(map(Terminal, flat.size[idx].tolist()))
+    idx = np.flatnonzero(kind == NUMERIC)
+    obj[idx] = list(map(NumericSplit, flat.var[idx].tolist(), flat.value[idx].tolist(),
+                        flat.left_fraction[idx].tolist()))
+    idx = np.flatnonzero(kind == CATEGORICAL)
+    left, present = flat.sides[:, 0], flat.sides.any(axis=1)
+    obj[idx] = [
+        CategoricalSplit(v, left[k, :s].copy(), present[k, :s].copy(), b)
+        for k, (v, s, b) in enumerate(zip(flat.var[idx].tolist(), n_labels[flat.var[idx]].tolist(),
+                                          flat.left_fraction[idx].tolist()))
+    ]
+    idx = np.flatnonzero(kind == HYPERPLANE)
+    nv, nc, ni = flat.num_var.tolist(), flat.num_coef.tolist(), flat.num_impute.tolist()
+    cv, ci = flat.cat_var.tolist(), flat.cat_impute.tolist()
+    cc = [row[:s].copy() for row, s in zip(flat.cat_coef, n_labels[flat.cat_var].tolist())]
+    num, cat = flat.num_ptr.tolist(), flat.cat_ptr.tolist()
+    obj[idx] = [
+        HyperplaneSplit(nv[i:j], nc[i:j], ni[i:j], cv[k:m], cc[k:m], ci[k:m], z)
+        for i, j, k, m, z in zip(num, num[1:], cat, cat[1:], flat.value[idx].tolist())
+    ]
+    split = np.flatnonzero(kind != TERMINAL)
+    for p, lt, rt in zip(obj[split].tolist(), obj[split + 1].tolist(),
+                         obj[flat.end[split + 1]].tolist()):
+        p.left, p.right = lt, rt
+    return obj[flat.roots[:-1]].tolist()
 
 
 def load_model(path) -> Forest:
     """Read a model written by `save_model`; every malformed file raises
-    ModelFormatError naming `path`."""
+    ModelFormatError naming `path`.  The forest comes with its FlatForest,
+    so prediction does not compile it again."""
+    with open(path, "rb") as fh:
+        try:
+            old = re.match(rb'\s*\{\s*"format_version"\s*:\s*(-?\d+)', fh.read(64))
+            if old:
+                raise ModelFormatError(
+                    f"model format version {int(old[1])} is not supported (this version "
+                    f"reads version {FORMAT_VERSION}); refit the model")
+            fh.seek(0)
+            a = _read_entries(fh)
+            header = a.get("header")
+            _check(header is not None and header.dtype == np.uint8 and header.ndim == 1,
+                   "entry 'header' is missing or not a byte string")
+            doc = json.loads(header.tobytes())
+            version = doc.get("format_version") if isinstance(doc, dict) else None
+            _check(version == FORMAT_VERSION, f"unsupported model format version {version}")
+            p = doc["params"]
+            params = ForestParams(
+                n_trees=int(p["n_trees"]),
+                subsample=None if p["subsample"] is None else int(p["subsample"]),
+                ndim=int(p["ndim"]),
+                max_depth=None if p["max_depth"] is None else int(p["max_depth"]),
+                seed=int(p["seed"]),
+                model_kind=p["model_kind"],
+            )
+            n_sub = int(doc["n_sub"])
+            _check(n_sub >= 2 and (params.subsample is None or n_sub <= params.subsample),
+                   f"subsample size {n_sub} is below 2 or above the subsample parameter")
+            schema = doc["schema"]
+            for spec in schema:
+                if spec["kind"] == "categorical":
+                    labels = spec["labels"]
+                    ok = isinstance(labels, list) and all(type(x) is str for x in labels)
+                else:
+                    ok = spec["kind"] == "numeric"
+                if not (ok and type(spec["name"]) is str):
+                    raise ModelFormatError(f"malformed schema column {spec!r}")
+            n_labels = np.array([len(s["labels"]) if s["kind"] == "categorical" else -1
+                                 for s in schema], dtype=np.int64)
+            _validate(a, params.model_kind, n_labels, params.n_trees, n_sub)
+        except ModelFormatError as exc:
+            raise ModelFormatError(f"{path}: {exc}") from exc
+        # zipfile raises BadZipFile, EOFError and OSError, and RuntimeError
+        # (NotImplementedError) for archive features np.savez never uses;
+        # the .npy reader raises ValueError; a header nested too deep
+        # raises RecursionError (a RuntimeError); invalid params raise
+        # FitError (a ValueError).
+        except (zipfile.BadZipFile, EOFError, OSError, RuntimeError, KeyError, TypeError,
+                ValueError, OverflowError) as exc:
+            raise ModelFormatError(f"{path}: malformed model file: {exc}") from exc
+    flat = _finish((), **{name: a[name] for name in STORED})
+    # The cyclic garbage collector would pass over every live object while
+    # the nodes are made, 3-4x their build time at 25k nodes.  Nodes form no
+    # reference cycles, so pausing it leaves nothing behind.  They live
+    # long: one young collection moves them to the oldest generation, where
+    # later young collections, during the caller's next work, would pass
+    # over them twice.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise ModelFormatError(f"{path}: not a valid model file: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
-        raise ModelFormatError(
-            f"{path}: unsupported model format version "
-            f"{doc.get('format_version') if isinstance(doc, dict) else '?'}"
-        )
-    try:
-        p = doc["params"]
-        params = ForestParams(
-            n_trees=int(p["n_trees"]),
-            subsample=None if p["subsample"] is None else int(p["subsample"]),
-            ndim=int(p["ndim"]),
-            max_depth=None if p["max_depth"] is None else int(p["max_depth"]),
-            seed=int(p["seed"]),
-            model_kind=p["model_kind"],
-        )
-        schema = doc["schema"]
-        for spec in schema:
-            if spec["kind"] == "categorical":
-                labels = spec["labels"]
-                ok = isinstance(labels, list) and all(type(x) is str for x in labels)
-            else:
-                ok = spec["kind"] == "numeric"
-            if not ok:
-                raise ModelFormatError(f"malformed schema column {spec!r}")
-        trees = [_node_from_json(t, schema, params.model_kind) for t in doc["trees"]]
-        n_sub = int(doc["n_sub"])
-        forest = Forest(params=params, schema=schema, trees=trees, n_sub=n_sub)
-    except ModelFormatError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from exc
-    # FitError (invalid params) is a ValueError.
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        raise ModelFormatError(f"{path}: malformed model document: {exc}") from exc
-    if len(forest.trees) != params.n_trees:
-        raise ModelFormatError(f"{path}: tree count does not match params")
+        flat.trees = tuple(_trees(flat, n_labels))
+    finally:
+        if enabled:
+            gc.collect(1)
+            gc.enable()
+    forest = Forest(params=params, schema=schema, trees=list(flat.trees), n_sub=n_sub)
+    forest._flat = flat
     return forest

@@ -8,7 +8,9 @@ import pytest
 
 import isodist
 from isodist.cli import main
+from isodist.forest import NUMERIC
 from isodist.matrix import CondensedMatrix
+from model_file import first, read_model, with_code_past_labels, write_model
 
 
 @pytest.fixture
@@ -170,13 +172,13 @@ def test_schema_mismatch_is_runtime_error(small_csv, tmp_path, capsys):
 
 def run_with_corrupt_model(small_csv, tmp_path, corrupt):
     """`python -m isodist dist` with a model fitted on `small_csv` and
-    then passed through `corrupt` (which edits the JSON document)."""
-    model = tmp_path / "model.json"
+    then passed through `corrupt` (which edits its arrays and header)."""
+    model = tmp_path / "model.npz"
     assert main(["fit", "--input", small_csv, "--trees", "3",
                  "--output", str(model)]) == 0
-    doc = json.loads(model.read_text())
-    corrupt(doc)
-    model.write_text(json.dumps(doc))
+    arrays, header = read_model(model)
+    corrupt(arrays, header)
+    write_model(model, arrays, header)
     return run_dist(small_csv, tmp_path, model)
 
 
@@ -195,7 +197,7 @@ def test_corrupt_model_is_runtime_error(small_csv, tmp_path):
     # A split on a column the schema does not have fails at load with an
     # error line, not with a traceback at traversal.
     proc = run_with_corrupt_model(
-        small_csv, tmp_path, lambda doc: doc["trees"][0].update(var=7)
+        small_csv, tmp_path, lambda a, h: a["var"].__setitem__(first(a, NUMERIC), 7)
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
@@ -203,12 +205,24 @@ def test_corrupt_model_is_runtime_error(small_csv, tmp_path):
 
 
 def test_deeply_nested_model_is_runtime_error(small_csv, tmp_path):
-    # The JSON parser gives up past the recursion limit.
+    # Deeply nested JSON is no model archive.
     model = tmp_path / "model.json"
     model.write_text("[" * 100000)
     proc = run_dist(small_csv, tmp_path, model)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_version_1_model_is_runtime_error(small_csv, tmp_path):
+    # A model written as version-1 JSON is refused with a request to refit.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"format_version": 1, "params": {}, "n_sub": 40,
+                                 "schema": [], "trees": []}))
+    proc = run_dist(small_csv, tmp_path, model)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "version 1" in proc.stderr and "refit" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -231,23 +245,15 @@ def test_unreadable_input_csv_is_runtime_error(tmp_path, data):
     assert "Traceback" not in proc.stderr
 
 
-def first_cat_node(node):
-    if node["type"] == "cat":
-        return node
-    if node["type"] != "terminal":
-        return first_cat_node(node["left"]) or first_cat_node(node["right"])
-    return None
-
-
-def test_negative_category_code_is_runtime_error(small_csv, tmp_path):
-    # numpy would wrap the code onto the last label and route silently.
-    def corrupt(doc):
-        next(filter(None, map(first_cat_node, doc["trees"]))).update(left_set=[-1])
+def test_category_code_past_label_count_is_runtime_error(small_csv, tmp_path):
+    # A categorical split that sends a code the column does not have.
+    def corrupt(a, h):
+        a["sides"] = with_code_past_labels(a["sides"], (0, 0))
 
     proc = run_with_corrupt_model(small_csv, tmp_path, corrupt)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
-    assert "negative category code" in proc.stderr
+    assert "category code at or past the column's label count" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

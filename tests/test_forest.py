@@ -1,12 +1,16 @@
+import copy
 import hashlib
-import json
+import io
+import re
 import sys
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from model_file import first, read_model, with_code_past_labels, write_model
 from recursive_grower import recursive_fit
 from scipy import stats
 
@@ -16,6 +20,7 @@ from isodist import distance
 from isodist import forest as forest_mod
 from isodist.distance import anomaly_scores, separation_matrix
 from isodist.forest import (
+    CATEGORICAL,
     NUMERIC,
     TERMINAL,
     CategoricalSplit,
@@ -370,9 +375,9 @@ def test_save_load_round_trip_extended(tmp_path):
 
 def test_load_truncated_model_rejected(tmp_path, normal_ds):
     forest = fit_forest(normal_ds, ForestParams(n_trees=2, seed=0))
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.npz"
     save_model(forest, path)
-    path.write_text(path.read_text()[:-30])
+    path.write_bytes(path.read_bytes()[:-30])
     with pytest.raises(ModelFormatError):
         load_model(path)
 
@@ -384,26 +389,24 @@ def test_load_wrong_version_rejected(tmp_path):
         load_model(path)
 
 
-def json_nodes(obj):
-    yield obj
-    if obj["type"] != "terminal":
-        yield from json_nodes(obj["left"])
-        yield from json_nodes(obj["right"])
+def test_load_refuses_version_1_json(tmp_path):
+    # A version-1 model is a JSON document; it is refused, not converted.
+    path = tmp_path / "model.json"
+    path.write_text('{"format_version": 1, "params": {}, "n_sub": 2, "schema": [], "trees": []}')
+    with pytest.raises(ModelFormatError, match="version 1 .*refit"):
+        load_model(path)
 
 
-def first_node(doc, kind, pred=lambda node: True):
-    return next(
-        node
-        for tree in doc["trees"]
-        for node in json_nodes(tree)
-        if node["type"] == kind and pred(node)
-    )
+@pytest.mark.parametrize("subsample", [1, 0, -3])
+def test_params_reject_subsample_below_two(subsample):
+    with pytest.raises(FitError, match="subsample"):
+        ForestParams(subsample=subsample)
 
 
 @pytest.fixture(scope="module")
-def model_docs(tmp_path_factory):
+def model_files(tmp_path_factory):
     """Saved single and extended models over a numeric and a 4-label
-    categorical column, as parsed JSON documents."""
+    categorical column, as (arrays, header) pairs."""
     rng = np.random.default_rng(23)
     n = 80
     ds = Dataset(
@@ -413,63 +416,153 @@ def model_docs(tmp_path_factory):
                    list("abcd")),
         ]
     )
-    docs = {}
+    files = {}
     for kind, ndim in (("single", 1), ("extended", 2)):
-        path = tmp_path_factory.mktemp(kind) / "model.json"
+        path = tmp_path_factory.mktemp(kind) / "model.npz"
         params = ForestParams(n_trees=4, seed=3, model_kind=kind, ndim=ndim)
         save_model(fit_forest(ds, params), path)
-        docs[kind] = json.loads(path.read_text())
-    return docs
+        files[kind] = read_model(path)
+        # Unedited, the file loads as written.
+        write_model(path, *files[kind])
+        load_model(path)
+    return files
 
 
+def set_entry(name, index, value):
+    """A mutation setting entry `name` at `index` to `value`."""
+    return lambda a, h: a[name].__setitem__(index(a), value)
+
+
+# name: (model kind, edit of (arrays, header), a fragment of the error)
 MUTATIONS = {
-    "var outside schema": ("single", lambda d: first_node(d, "num").update(var=7)),
+    "var outside schema": (
+        "single", set_entry("var", lambda a: first(a, NUMERIC), 7), "outside a 2-column schema"),
     "numeric split on categorical column": (
-        "single", lambda d: first_node(d, "num").update(var=1)),
+        "single", set_entry("var", lambda a: first(a, NUMERIC), 1),
+        "numeric split on a column of the other kind"),
+    "categorical split on numeric column": (
+        "single", set_entry("var", lambda a: first(a, CATEGORICAL), 0),
+        "categorical split on a column of the other kind"),
+    # The splits set code 3 (label "d"), which a 3-label column lacks.
     "label count differs from schema": (
-        "single", lambda d: first_node(d, "cat").update(n_labels=5)),
+        "single", lambda a, h: h["schema"][1]["labels"].pop(), "category code at or past"),
     "node type not in model kind": (
-        "single", lambda d: d["params"].update(model_kind="extended")),
+        "single", lambda a, h: h["params"].update(model_kind="extended"),
+        "node kind not allowed in the extended model"),
     "hyperplane lists differ in length": (
-        "extended", lambda d: first_node(d, "hyp")["num_imputes"].append(0.5)),
+        "extended", lambda a, h: a.update(num_impute=np.append(a["num_impute"], 0.5)),
+        "num_ptr does not divide"),
     "hyperplane label count differs from schema": (
-        "extended",
-        lambda d: first_node(d, "hyp", lambda n: n["cat_vars"])["cat_sizes"]
-        .__setitem__(0, 5)),
-    # numpy would wrap a negative code onto the last label.
-    "negative left_set code": (
-        "single", lambda d: first_node(d, "cat").update(left_set=[-1])),
-    "negative present code": (
-        "single", lambda d: first_node(d, "cat")["present"].append(-1)),
-    "negative cat_coefs code": (
-        "extended",
-        lambda d: first_node(d, "hyp", lambda n: n["cat_vars"])["cat_coefs"][0]
-        .__setitem__("-1", 0.5)),
-    # Parameters that fail to parse or that ForestParams refuses.
-    "tree count not a number": ("single", lambda d: d["params"].update(n_trees="x")),
+        "extended", lambda a, h: h["schema"][1]["labels"].pop(),
+        "hyperplane coefficient at or past"),
+    # A bool table holds no negative code; a code past the column's labels
+    # is the one that could be set.
+    "left side code past label count": (
+        "single", lambda a, h: a.update(sides=with_code_past_labels(a["sides"], (0, 0))),
+        "category code at or past"),
+    "right side code past label count": (
+        "single", lambda a, h: a.update(sides=with_code_past_labels(a["sides"], (0, 1))),
+        "category code at or past"),
+    "cat_coef code past label count": (
+        "extended", lambda a, h: a.update(cat_coef=with_code_past_labels(a["cat_coef"], (0,))),
+        "hyperplane coefficient at or past"),
+    "code on both sides": (
+        "single", lambda a, h: a["sides"][0, 1].__ior__(a["sides"][0, 0]), "both left and right"),
+    "categorical split without its sides": (
+        "single", lambda a, h: a.update(sides=a["sides"][1:]), "sides do not hold"),
+    "sides without a code column": (
+        "single", lambda a, h: a.update(sides=a["sides"][:, :, :0]), "sides do not hold"),
+    "cat_coef without a code column": (
+        "extended", lambda a, h: a.update(cat_coef=a["cat_coef"][:, :0]),
+        "cat_coef has no code column"),
+    "hyperplane term on the wrong kind of column": (
+        "extended", lambda a, h: a["num_var"].__setitem__(0, 1),
+        "hyperplane numeric term on a column of the other kind"),
+    # The arrays themselves.
+    "not a tree": ("single", set_entry("kind", lambda a: 0, 0), "do not form trees"),
+    "roots do not end at the node count": (
+        "single", lambda a, h: a["roots"].__setitem__(-1, a["roots"][-1] - 1),
+        "roots do not divide"),
+    "roots differ from tree count": (
+        "single", lambda a, h: h["params"].update(n_trees=3), "roots do not divide"),
+    "cat_ptr differs from term count": (
+        "extended", lambda a, h: a["cat_ptr"].__setitem__(-1, a["cat_ptr"][-1] + 1),
+        "cat_ptr does not divide"),
+    "wrong dtype": (
+        "single", lambda a, h: a.update(var=a["var"].astype(np.int64)),
+        "entry 'var' is missing or not a 1-d int32 array"),
+    "missing entry": ("single", lambda a, h: a.pop("size"), "entry 'size' is missing"),
+    "pickled entry": (
+        "single", lambda a, h: a.update(var=a["var"].astype(object)), "holds pickled objects"),
+    "per-node entries differ in length": (
+        "single", lambda a, h: a.update(size=a["size"][:-1]), "per-node entries differ"),
+    "terminal size negative": (
+        "single", set_entry("size", lambda a: first(a, TERMINAL), -1.0), "terminal size"),
+    "terminal size above n_sub": (
+        "extended", set_entry("size", lambda a: first(a, TERMINAL), 1e300), "terminal size"),
+    "left fraction above 1": (
+        "single", set_entry("left_fraction", lambda a: first(a, NUMERIC), 1.5), "left fraction"),
+    # The header.
+    "format version 3": (
+        "single", lambda a, h: h.update(format_version=3), "unsupported model format version 3"),
+    "tree count not a number": (
+        "single", lambda a, h: h["params"].update(n_trees="x"), "malformed model file"),
     "tree count infinite": (
-        "single", lambda d: d["params"].update(n_trees=float("inf"))),
-    "subsample size not a number": ("single", lambda d: d.update(n_sub="x")),
-    "ndim 0": ("extended", lambda d: d["params"].update(ndim=0)),
-    "max_depth negative": ("single", lambda d: d["params"].update(max_depth=-5)),
-    "no trees": ("single", lambda d: d["params"].update(n_trees=0)),
-    "unknown model kind": ("single", lambda d: d["params"].update(model_kind="foo")),
+        "single", lambda a, h: h["params"].update(n_trees=float("inf")), "malformed model file"),
+    "subsample size not a number": (
+        "single", lambda a, h: h.update(n_sub="x"), "malformed model file"),
+    "n_sub 0": ("single", lambda a, h: h.update(n_sub=0), "subsample size 0 is below 2"),
+    "n_sub negative": ("single", lambda a, h: h.update(n_sub=-3), "subsample size -3 is below 2"),
+    "n_sub above subsample": (
+        "single", lambda a, h: h["params"].update(subsample=40),
+        "above the subsample parameter"),
+    "subsample below 2": (
+        "single", lambda a, h: h["params"].update(subsample=1), "subsample size must be >= 2"),
+    "ndim 0": ("extended", lambda a, h: h["params"].update(ndim=0), "ndim must be >= 1"),
+    "max_depth negative": (
+        "single", lambda a, h: h["params"].update(max_depth=-5), "max_depth must be >= 1"),
+    "no trees": ("single", lambda a, h: h["params"].update(n_trees=0), "at least one tree"),
+    "unknown model kind": (
+        "single", lambda a, h: h["params"].update(model_kind="foo"), "unknown model kind"),
     # Columns no split uses: remap_dataset reads them all.
     "unknown column kind": (
-        "single", lambda d: d["schema"].append({"name": "z", "kind": "text"})),
+        "single", lambda a, h: h["schema"].append({"name": "z", "kind": "text"}),
+        "malformed schema column"),
+    "column without a name": (
+        "single", lambda a, h: h["schema"][0].pop("name"), "malformed model file"),
     "categorical labels not a list": (
-        "single", lambda d: d["schema"].append({"kind": "categorical", "labels": 5})),
+        "single", lambda a, h: h["schema"].append({"name": "z", "kind": "categorical", "labels": 5}),
+        "malformed schema column"),
 }
 
 
 @pytest.mark.parametrize("mutation", list(MUTATIONS))
-def test_load_rejects_model_inconsistent_with_schema(tmp_path, model_docs, mutation):
-    kind, mutate = MUTATIONS[mutation]
-    doc = json.loads(json.dumps(model_docs[kind]))
-    mutate(doc)
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError):
+def test_load_rejects_model_inconsistent_with_schema(tmp_path, model_files, mutation):
+    kind, mutate, problem = MUTATIONS[mutation]
+    arrays, header = copy.deepcopy(model_files[kind])
+    mutate(arrays, header)
+    path = tmp_path / "model.npz"
+    write_model(path, arrays, header)
+    with pytest.raises(ModelFormatError, match=f"{re.escape(str(path))}: .*{re.escape(problem)}"):
+        load_model(path)
+
+
+def test_load_rejects_npy_shape_larger_than_its_entry(tmp_path, model_files):
+    # numpy trusts the shape in a .npy header and would allocate it before
+    # finding the data short; the loader compares it to the entry's size.
+    arrays, header = model_files["single"]
+    path = tmp_path / "model.npz"
+    write_model(path, arrays, header)
+    with zipfile.ZipFile(path) as zf:
+        members = {info.filename: zf.read(info) for info in zf.infolist()}
+    huge = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        huge, {"descr": "<f8", "fortran_order": False, "shape": (10**15,)})
+    members["threshold.npy"] = huge.getvalue() + arrays["threshold"].tobytes()
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
+    with pytest.raises(ModelFormatError, match="'threshold.npy' declares more data"):
         load_model(path)
 
 
@@ -755,19 +848,22 @@ def test_segment_medians_match_np_median(counts):
             assert np.isnan(got[s])
 
 
+# On the subnormal end of the geometric column an extended node's
+# coefficient, Normal(0, 1) / (scale * sd), overflows to inf.
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
 def test_tree_deeper_than_the_recursion_limit(tmp_path):
     # A uniform threshold on a geometric column mostly splits off the top
     # row, so the tree is about as deep as the column is long.
     x = 2.0 ** np.linspace(-1070, 1020, 3000)
     ds = numeric_dataset([x])
-    forest = fit_forest(ds, ForestParams(n_trees=1, seed=0))
-    assert leaf_depths(forest.trees[0]).max() > sys.getrecursionlimit()
-    scores = anomaly_scores(forest, ds)
-    assert np.all((scores > 0) & (scores <= 1))
-    path = tmp_path / "model.json"
-    with pytest.raises(ModelFormatError, match="JSON nesting limit"):
+    for kind in ("single", "extended"):
+        forest = fit_forest(ds, ForestParams(n_trees=1, seed=0, model_kind=kind))
+        assert leaf_depths(forest.trees[0]).max() > sys.getrecursionlimit()
+        scores = anomaly_scores(forest, ds)
+        assert np.all((scores > 0) & (scores <= 1))
+        path = tmp_path / f"{kind}.npz"
         save_model(forest, path)
-    assert not path.exists()
+        assert np.array_equal(anomaly_scores(load_model(path), ds), scores)
 
 
 def with_unseen_codes(ds, every=5):
@@ -797,17 +893,9 @@ def batching_table(name):
 
 
 def model_digest(forest, path):
-    """The sha256 of `forest` as `save_model` writes it; for a tree too
-    deep for JSON, of its flat arrays."""
-    digest = hashlib.sha256()
-    try:
-        save_model(forest, path)
-        digest.update(path.read_bytes())
-    except ModelFormatError:
-        for v in vars(flat_forest(forest)).values():
-            if isinstance(v, np.ndarray):
-                digest.update(v.tobytes())
-    return digest.hexdigest()
+    """The sha256 of `forest` as `save_model` writes it."""
+    save_model(forest, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # On the subnormal end of the geometric column an extended node's
@@ -830,6 +918,34 @@ def test_batched_trees_equal_trees_grown_alone(monkeypatch, tmp_path, table, kin
         digests.append(model_digest(fit_forest(ds, params), tmp_path / "model.json"))
     assert digests[1] == digests[0]
     assert digests[2] == digests[0]
+
+
+@pytest.mark.parametrize("kind, ndim", [("single", 1), ("extended", 2)], ids=["single", "extended"])
+@pytest.mark.parametrize("table", ["complete", "missing cells", "unseen codes"])
+def test_loaded_model_equals_the_saved_forest(tmp_path, table, kind, ndim):
+    ds, _ = batching_table(table)
+    forest = fit_forest(ds, ForestParams(n_trees=4, seed=6, model_kind=kind, ndim=ndim))
+    path = tmp_path / "model.npz"
+    save_model(forest, path)
+    saved = path.read_bytes()
+    loaded = load_model(path)
+    assert flat_forest(loaded) is loaded._flat
+    want = flat_forest(forest)
+    # The loaded arrays, and the rebuilt nodes compiled again.
+    for flat in (loaded._flat, forest_mod._compile(loaded.trees)):
+        for name, value in vars(want).items():
+            if name != "trees":
+                got = getattr(flat, name)
+                assert got.dtype == value.dtype and np.array_equal(got, value, equal_nan=True), name
+    assert np.array_equal(anomaly_scores(loaded, ds), anomaly_scores(forest, ds))
+    assert np.array_equal(separation_matrix(loaded, ds).values,
+                          separation_matrix(forest, ds).values)
+    # The bytes are reproducible: the forest saved again, and the loaded
+    # model saved, give the same file.
+    save_model(forest, path)
+    assert path.read_bytes() == saved
+    save_model(loaded, path)
+    assert path.read_bytes() == saved
 
 
 def test_load_rejects_deeply_nested_json(tmp_path):
@@ -855,10 +971,10 @@ def small_models(tmp_path_factory):
 @settings(max_examples=300)
 @given(
     kind=st.sampled_from(["single", "extended"]),
-    # An offset into the params and schema, which come first, or a
-    # fraction of the file.
-    at=st.integers(0, 255) | st.floats(0, 1, exclude_max=True),
-    byte=st.none() | st.sampled_from(b'0-9."[]{}:,etfnx ') | st.integers(0, 255),
+    # An offset into the header entry (its zip and .npy headers, then the
+    # params and schema), which comes first, or a fraction of the file.
+    at=st.integers(0, 511) | st.floats(0, 1, exclude_max=True),
+    byte=st.none() | st.sampled_from(b'0-9."[]{}:,etfnx ()<\'') | st.integers(0, 255),
 )
 def test_mutated_model_loads_or_raises_model_format_error(small_models, kind, at, byte):
     # byte None truncates the file at `at`; otherwise one byte there changes.
