@@ -4,6 +4,8 @@ Euclidean / Mahalanobis / Cosine require fully observed numeric data (run
 mean_impute first when needed); Gower handles mixed types and missingness
 natively via pairwise-complete columns.  pearson_corr compares two
 condensed matrices cell-by-cell, skipping jointly missing (NaN) cells.
+The three metrics built on scipy's `pdist` import it when called, so that
+importing the package does not load scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .data import Column, Dataset
 from .matrix import CondensedMatrix
@@ -34,6 +35,8 @@ def _numeric_array(ds: Dataset) -> np.ndarray:
 
 
 def euclidean_matrix(ds: Dataset) -> CondensedMatrix:
+    from scipy.spatial.distance import pdist
+
     X = _numeric_array(ds)
     return CondensedMatrix(ds.n_rows, pdist(X, "euclidean"))
 
@@ -67,12 +70,16 @@ def fit_covariance(X: np.ndarray, sv_tol: float = 1e-10) -> CovarianceModel:
 
 
 def mahalanobis_matrix(ds: Dataset) -> CondensedMatrix:
+    from scipy.spatial.distance import pdist
+
     X = _numeric_array(ds)
     model = fit_covariance(X)
     return CondensedMatrix(ds.n_rows, pdist(X, "mahalanobis", VI=model.inv))
 
 
 def cosine_distance_matrix(ds: Dataset) -> CondensedMatrix:
+    from scipy.spatial.distance import pdist
+
     X = _numeric_array(ds)
     norms = np.linalg.norm(X, axis=1)
     if np.any(norms == 0):

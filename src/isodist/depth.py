@@ -10,6 +10,8 @@ traversal adds when a pair reaches a terminal node together.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Memo tables, index n (entry 0 unused).  Extended lazily; safe for
@@ -18,11 +20,19 @@ _SEP_DIRECT: list[float] = [0.0, 0.0, 1.0]
 _SEP_INCR: list[float] = [0.0, 0.0, 1.0]
 _HARMONIC: list[float] = [0.0, 1.0]
 
+# Above this n, `harmonic` uses its asymptotic expansion instead of the
+# memoized sum; the next term, 1/(120 n^4), is below 1e-20 there.
+HARMONIC_SUM_MAX = 1 << 16
+
 
 def harmonic(n: int) -> float:
-    """H_n = sum_{k=1..n} 1/k."""
+    """H_n = sum_{k=1..n} 1/k, summed for n <= HARMONIC_SUM_MAX and
+    ln n + gamma + 1/(2n) - 1/(12n^2) above, so that a large n costs
+    neither time nor memory."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > HARMONIC_SUM_MAX:
+        return math.log(n) + np.euler_gamma + 1.0 / (2 * n) - 1.0 / (12 * n * n)
     while len(_HARMONIC) <= n:
         k = len(_HARMONIC)
         _HARMONIC.append(_HARMONIC[k - 1] + 1.0 / k)

@@ -32,7 +32,8 @@ paths:
   node, and c is 1 at a split, 3 at a terminal and 0 at a node fewer than
   two rows reach.  It is made a block of rows at a time and added into a
   float64 accumulator (`_add_weighted`, which `tree_depth_sums` also
-  uses).
+  uses).  `scipy.sparse` is imported there, on the first weighted tree,
+  so that the kernel path and scoring run on numpy alone.
 
 Trees are summed one after another into one set of accumulators: an
 int32 n x n accumulator and two int32 n x n scratch blocks, plus a
@@ -44,9 +45,11 @@ estimates these arrays, the block and the float64 result; if that exceeds
 the memory available to the process it raises `FitError` naming both byte
 counts.
 
-`anomaly_scores` descends all trees at once with weights and adds each
-terminal's w * h, h its isolation depth, to its row in tree order and
-then pre-order, as a tree-by-tree walk would.
+`anomaly_scores` descends all trees at once with weights, a block of
+about ROUTE_TRIPLES // trees rows at a time, so that its (row, node,
+weight) triples do not grow with the table, and adds each terminal's
+w * h, h its isolation depth, to its row in tree order and then
+pre-order, as a tree-by-tree walk would.
 
 Depth sums are averaged over trees and squashed through
 2^(-(avg-1)/2), giving distances in (0, 1] with 0.5 the expected value
@@ -58,7 +61,6 @@ true duplicates.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from . import depth as depth_math
 from .data import Dataset, deduplicate
@@ -80,7 +82,7 @@ BLOCK_CELLS = 1 << 16
 BLOCK_CELL_BYTES = 8 + 4 + 8
 
 # Kernel trees are routed together, as many at once as keep the triples of
-# one level below this count.
+# one level below this count; `anomaly_scores` routes as many rows at once.
 ROUTE_TRIPLES = 1 << 16
 
 
@@ -88,7 +90,15 @@ def _add_weighted(flat: FlatForest, t: int, ds: Dataset, D) -> None:
     """Add tree t's pair depth sums into the square D: w_i*w_j for every
     node both rows reach, 3*w_i*w_j for a terminal.  With M the rows x
     nodes weight matrix, that is M diag(c) M^T with c = 1 at a split, 3 at
-    a terminal and 0 at a node fewer than two rows reach."""
+    a terminal and 0 at a node fewer than two rows reach.
+
+    Its memory is bounded by the tree, not by a block of rows: the
+    descent's triples are the entries of M, one per (row, node the row
+    reaches) in this one tree, and the product needs M whole.  On a
+    600-row mixed table with 10% missing cells that is about 65 entries a
+    row on average, against the n cells a row of D."""
+    from scipy import sparse
+
     rows, nodes, w = descend(flat, ds, range(t, t + 1), True, every_node=True)
     local = nodes - flat.roots[t]
     size = int(flat.roots[t + 1] - flat.roots[t])
@@ -269,7 +279,9 @@ def pair_distance(forest: Forest, ds: Dataset, i: int, j: int) -> float:
     rows descend all trees together, and every node both reach adds
     c * w_i * w_j, c = 3 at a terminal and 1 at a split.  The result equals
     the full-matrix entry: exactly on complete data, where the sums are
-    integers, and to float rounding otherwise."""
+    integers, and to float rounding otherwise.  Two rows take at most two
+    triples per node of the forest, so the memory is bounded by the
+    forest's size, whatever the size of `ds`."""
     sub = remap_dataset(forest, ds.take([i, j]))
     if sub.row_key(0) == sub.row_key(1):
         return 0.0
@@ -291,11 +303,15 @@ def anomaly_scores(forest: Forest, ds: Dataset) -> np.ndarray:
     """
     ds = remap_dataset(forest, ds)
     flat = flat_forest(forest)
-    rows, nodes, w = descend(flat, ds, range(len(forest.trees)), True)
-    # Each row adds its terminals' w * h in node order, which is tree
-    # order, then pre-order within a tree.
-    order = np.argsort(nodes, kind="stable")
+    n_trees = len(forest.trees)
     depths = np.zeros(ds.n_rows)
-    np.add.at(depths, rows[order], w[order] * flat.value[nodes[order]])
-    avg = depths / len(forest.trees)
+    step = max(1, ROUTE_TRIPLES // n_trees)
+    for a in range(0, ds.n_rows, step):
+        block = ds.take(np.arange(a, min(a + step, ds.n_rows)))
+        rows, nodes, w = descend(flat, block, range(n_trees), True)
+        # Each row adds its terminals' w * h in node order, which is tree
+        # order, then pre-order within a tree.
+        order = np.argsort(nodes, kind="stable")
+        np.add.at(depths, a + rows[order], w[order] * flat.value[nodes[order]])
+    avg = depths / n_trees
     return depth_math.standardize_isolation(avg, max(2, forest.n_sub))

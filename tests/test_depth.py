@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from isodist.depth import (
+    HARMONIC_SUM_MAX,
     expected_isolation,
     expected_separation_direct,
     expected_separation_incremental,
@@ -122,3 +123,11 @@ def test_standardize_isolation_anchors():
     assert standardize_isolation(expected_isolation(n), n) == pytest.approx(0.5)
     assert standardize_isolation(0.0, n) == 1.0
     assert standardize_isolation(1e6, n) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_harmonic_closed_form_meets_the_sum():
+    # Just past the switch-over, the closed form less its last term is the
+    # summed value at the switch-over.
+    n = HARMONIC_SUM_MAX
+    assert harmonic(n + 1) - 1.0 / (n + 1) == pytest.approx(harmonic(n), rel=1e-12)
+    assert harmonic(10**9) == pytest.approx(np.log(1e9) + np.euler_gamma, rel=1e-9)

@@ -1,7 +1,10 @@
+import sys
 import threading
 
 import numpy as np
 import pytest
+from child import run_python
+from model_file import read_model, write_model
 
 from isodist import distance
 from isodist.bench import generate_scenario
@@ -21,6 +24,7 @@ from isodist.forest import (
     NumericSplit,
     Terminal,
     fit_forest,
+    save_model,
 )
 
 
@@ -299,3 +303,68 @@ def test_extended_scores_and_distances():
     assert np.all((m.values > 0) & (m.values <= 1))
     scores = anomaly_scores(forest, ds)
     assert np.all((scores > 0) & (scores <= 1))
+
+
+def test_scores_in_row_blocks_equal_one_block(monkeypatch):
+    rng = np.random.default_rng(8)
+    ds = generate_scenario("mixed", 300, rng)["dataset"]
+    forest = fit_forest(ds, ForestParams(n_trees=6, seed=4))
+    whole = anomaly_scores(forest, ds)
+    monkeypatch.setattr(distance, "ROUTE_TRIPLES", 6 * 7)  # blocks of 7 rows
+    assert np.array_equal(anomaly_scores(forest, ds), whole)
+
+
+needs_proc = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="reads /proc/self/status")
+
+
+@needs_proc
+def test_scoring_memory_does_not_grow_with_the_table():
+    # Scoring 20,000 rows through 50 trees at once held about 100 MB of
+    # (row, node, weight) triples; in row blocks it needs under 10 MB.
+    proc = run_python("""
+        import numpy as np
+        from isodist import ForestParams, anomaly_scores, fit_forest
+        from isodist.data import Column, Dataset
+
+        rng = np.random.default_rng(0)
+        n = 20_000
+        ds = Dataset([Column("numeric", rng.standard_normal(n), np.zeros(n, bool))
+                      for _ in range(2)])
+        forest = fit_forest(ds.take(np.arange(2000)),
+                            ForestParams(n_trees=50, subsample=256, seed=1))
+        anomaly_scores(forest, ds.take(np.arange(100)))  # compiles the forest
+        limit_memory(48)
+        scores = anomaly_scores(forest, ds)
+        assert scores.shape == (n,)
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
+@needs_proc
+def test_huge_subsample_size_loads_and_scores_quickly(tmp_path):
+    # A header without a subsample parameter does not bound `n_sub`; the
+    # expected isolation depth among 10^9 rows must not be summed term by
+    # term.
+    ds = numeric_dataset([np.arange(10.0)])
+    path = tmp_path / "model.npz"
+    save_model(fit_forest(ds, ForestParams(n_trees=3, seed=0)), path)
+    arrays, header = read_model(path)
+    assert header["params"]["subsample"] is None
+    header["n_sub"] = 10**9
+    write_model(path, arrays, header)
+    proc = run_python(f"""
+        import time
+        import numpy as np
+        from isodist import anomaly_scores, load_model
+        from isodist.data import Column, Dataset
+
+        limit_memory(64)
+        t = time.perf_counter()
+        scores = anomaly_scores(load_model({str(path)!r}),
+                                Dataset([Column("numeric", np.arange(10.0), np.zeros(10, bool))]))
+        assert np.all((scores > 0) & (scores <= 1))
+        print(time.perf_counter() - t)
+    """, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 0.5

@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import io
 import re
@@ -986,3 +987,17 @@ def test_mutated_model_loads_or_raises_model_format_error(small_models, kind, at
         load_model(small_models["path"])
     except ModelFormatError:
         pass
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_fit_and_load_leave_the_collector_as_they_found_it(tmp_path, normal_ds, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        forest = fit_forest(normal_ds, ForestParams(n_trees=3, seed=1))
+        assert gc.isenabled() is enabled
+        save_model(forest, tmp_path / "model.npz")
+        load_model(tmp_path / "model.npz")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
