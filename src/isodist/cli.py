@@ -10,18 +10,16 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import bench as bench_mod
 from .baselines import BaselineError
 from .data import DataError, deduplicate, load_csv, load_schema_sidecar
 from .distance import anomaly_scores, separation_matrix
 from .forest import (
+    TERMINAL,
     FitError,
     ForestParams,
     ModelFormatError,
     fit_forest,
-    leaf_depths,
     load_model,
     save_model,
 )
@@ -95,7 +93,7 @@ def cmd_fit(args) -> int:
     ds = _load_input(args)
     forest = fit_forest(ds, _make_params(args))
     save_model(forest, args.output)
-    depths = np.concatenate([leaf_depths(t) for t in forest.trees])
+    depths = forest.flat.depth[forest.flat.kind == TERMINAL]
     print(
         f"fitted {forest.params.model_kind} model: "
         f"{forest.params.n_trees} trees on {ds.n_rows} rows "

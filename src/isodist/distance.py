@@ -9,11 +9,11 @@ split never saw go down both branches with weights scaled by the stored
 left-branch proportion (single-variable trees) or contribute their stored
 median imputation to the hyperplane projection (extended trees).
 
-Everything here reads the forest as the flat arrays of
-`forest.flat_forest`, and rows reach nodes through `forest.descend`, which
-moves (row, node, weight) triples down all trees one depth level at a
-time.  `separation_matrix` sums each tree's pair depths by one of two
-paths:
+Everything here reads the forest as its flat arrays, `Forest.flat`, which
+fitting and `load_model` emit, and rows reach nodes through
+`forest.descend`, which moves (row, node, weight) triples down all trees
+one depth level at a time.  `separation_matrix` sums each tree's pair
+depths by one of two paths:
 
 * A tree where no split that two rows reach sends one of them neither
   way (all extended trees, and single-variable trees on rows without
@@ -64,7 +64,7 @@ import numpy as np
 
 from . import depth as depth_math
 from .data import Dataset, deduplicate
-from .forest import TERMINAL, FitError, FlatForest, Forest, descend, flat_forest, remap_dataset
+from .forest import TERMINAL, FitError, FlatForest, Forest, descend, remap_dataset
 from .matrix import CondensedMatrix
 
 # The int32 sums move into the float64 sums before the next tree could
@@ -127,9 +127,9 @@ def _tree_sums(forest: Forest, ds: Dataset) -> np.ndarray:
 
     Trees the leaf-order kernel takes add into int32 `counts`, the others
     into float64 `sums`; each is allocated when a tree first needs it."""
-    flat = flat_forest(forest)
+    flat = forest.flat
     n = ds.n_rows
-    n_trees = len(forest.trees)
+    n_trees = len(flat.roots) - 1
     counts = sums = None
     leaf = np.empty((n, n), dtype=np.int32)
     bound = 0  # the largest value a cell of `counts` can hold
@@ -227,18 +227,19 @@ def _available_bytes() -> int | None:
     return min(found) if found else None
 
 
-def tree_depth_sums(forest: Forest, tree, ds: Dataset) -> np.ndarray:
-    """Raw pair separation-depth sums for one tree (square array).
+def tree_depth_sums(forest: Forest, t: int, ds: Dataset) -> np.ndarray:
+    """Raw pair separation-depth sums for tree t (square array).
 
     `ds` must already be schema-compatible; rows are traversed as given
-    (no deduplication), each with initial weight 1.
+    (no deduplication), each with initial weight 1.  Raises ValueError
+    when t is not in range(n_trees).
     """
+    n_trees = len(forest.flat.roots) - 1
+    if not 0 <= t < n_trees:
+        raise ValueError(f"tree index {t} is outside range({n_trees})")
     ds = remap_dataset(forest, ds)
-    t = next((k for k, u in enumerate(forest.trees) if u is tree), None)
-    if t is None:
-        raise ValueError("tree is not one of forest.trees")
     D = np.zeros((ds.n_rows, ds.n_rows))
-    _add_weighted(flat_forest(forest), t, ds, D)
+    _add_weighted(forest.flat, t, ds, D)
     return D
 
 
@@ -268,7 +269,7 @@ def separation_matrix(forest: Forest, ds: Dataset, threads: int = 1) -> Condense
             f"a distance matrix over {n} rows needs about {need} bytes, "
             f"but {available} bytes are available"
         )
-    avg = _tree_sums(forest, rep_ds) / len(forest.trees)
+    avg = _tree_sums(forest, rep_ds) / (len(forest.flat.roots) - 1)
     rep = CondensedMatrix(rep_ds.n_rows, depth_math.standardize_separation(avg))
     return rep if rep_ds.n_rows == n else rep.take(gmap)
 
@@ -285,12 +286,13 @@ def pair_distance(forest: Forest, ds: Dataset, i: int, j: int) -> float:
     sub = remap_dataset(forest, ds.take([i, j]))
     if sub.row_key(0) == sub.row_key(1):
         return 0.0
-    flat = flat_forest(forest)
-    rows, nodes, w = descend(flat, sub, range(len(forest.trees)), True, every_node=True)
+    flat = forest.flat
+    n_trees = len(flat.roots) - 1
+    rows, nodes, w = descend(flat, sub, range(n_trees), True, every_node=True)
     mass = np.zeros((2, len(flat.kind)))
     mass[rows, nodes] = w
     c = np.where(flat.kind == TERMINAL, 3.0, 1.0)
-    avg = np.array([np.sum(c * mass[0] * mass[1])]) / len(forest.trees)
+    avg = np.array([np.sum(c * mass[0] * mass[1])]) / n_trees
     return float(depth_math.standardize_separation(avg)[0])
 
 
@@ -302,8 +304,8 @@ def anomaly_scores(forest: Forest, ds: Dataset) -> np.ndarray:
     standardized against the expectation for the fitted subsample size.
     """
     ds = remap_dataset(forest, ds)
-    flat = flat_forest(forest)
-    n_trees = len(forest.trees)
+    flat = forest.flat
+    n_trees = len(flat.roots) - 1
     depths = np.zeros(ds.n_rows)
     step = max(1, ROUTE_TRIPLES // n_trees)
     for a in range(0, ds.n_rows, step):

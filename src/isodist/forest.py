@@ -25,33 +25,34 @@ Each level draws its random numbers in blocks: uniform keys choosing each
 node's columns, then hyperplane coefficients, thresholds or category
 coins, and again only for the draws that failed.  At each such draw every
 tree takes its own entries from its own stream, in the order it would
-draw alone, so a tree is the same however many grow beside it.  When the
-batch is done its levels are linked into the node dataclasses, which are
-the fit's output.
+draw alone, so a tree is the same however many grow beside it.  Each
+level's splits are kept as arrays; when the batch is done, `_preorder`
+numbers its nodes in pre-order.
 
-Prediction reads no node object.  `flat_forest` compiles a forest's trees
-once into flat pre-order arrays (`FlatForest`), kept on the forest until
-its list of trees changes, and `descend` moves (row, node, weight) triples
-down all trees one depth level at a time, by the fit's rules: numeric
-threshold, categorical subset, both branches with weights b and 1 - b for
-a row a single-variable split cannot place, the WEIGHT_FLOOR drop, and the
-hyperplane projection with stored imputations.
+The fit's output is the forest's flat pre-order arrays (`FlatForest`,
+`Forest.flat`), which everything else reads: `descend` moves (row, node,
+weight) triples down all trees one depth level at a time, by the fit's
+rules: numeric threshold, categorical subset, both branches with weights
+b and 1 - b for a row a single-variable split cannot place, the
+WEIGHT_FLOOR drop, and the hyperplane projection with stored imputations.
 
 The model file is the FlatForest's stored arrays (STORED) in an .npz
 archive with a JSON header; `load_model` validates them with whole-array
-checks, derives the rest with the same `_finish` as `_compile`, and
-rebuilds the node objects from them in one pass per node kind.
+checks and derives the rest with the same `_finish` as fitting.
+
+The node dataclasses (`Terminal`, `NumericSplit`, `CategoricalSplit`,
+`HyperplaneSplit`) are only a read-only view, `Forest.trees`, built from
+the arrays on first access; the library itself never reads it.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import re
 import zipfile
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,9 @@ GROW_CELLS = 1 << 17
 # Retries for degenerate random draws (empty/full category subset, or a
 # threshold that rounds onto the range boundary) before giving up on the node.
 MAX_REDRAWS = 16
+
+# Node kinds in `FlatForest.kind`.
+TERMINAL, NUMERIC, CATEGORICAL, HYPERPLANE = range(4)
 
 
 class FitError(ValueError):
@@ -149,10 +153,21 @@ class ForestParams:
 class Forest:
     params: ForestParams
     schema: list[dict]  # per column: {name, kind, labels}
-    trees: list = field(default_factory=list)
+    flat: FlatForest  # the trees
     n_sub: int = 0
-    # The trees compiled into flat arrays by `flat_forest`, on first use.
-    _flat: FlatForest | None = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def trees(self) -> tuple:
+        """The trees as node objects, their roots in order: a read-only
+        view of `flat`, built on first access, for code that walks nodes.
+        The library never reads it."""
+        return tuple(_trees(self.flat, _label_counts(self.schema)))
+
+
+def _label_counts(schema) -> np.ndarray:
+    """Per column of `schema`, its label count; -1 for a numeric column."""
+    return np.array([len(s["labels"]) if s["kind"] == "categorical" else -1 for s in schema],
+                    dtype=np.int64)
 
 
 def _cells(ds: Dataset):
@@ -258,10 +273,10 @@ def _segment_medians(seg, vals, n_seg):
 
 def _split_single(X, miss, n_labels, rows, seg, starts, owner, rngs):
     """Draw a single-variable split for each segment of rows, segment s
-    from the stream of tree owner[s].  Returns (ok, splits, left, right):
-    ok marks the segments that got a split, `splits` holds their node
-    objects (left_fraction still unset), and left/right mark the rows each
-    sends that way; a row in neither goes down both branches."""
+    from the stream of tree owner[s].  Returns (ok, split, left, right):
+    ok marks the segments that got a split, `split` holds the stored
+    fields of those splits by name (see STORED), and left/right mark the
+    rows each sends that way; a row in neither goes down both branches."""
     n_seg, n_cols = len(starts), X.shape[1]
     lo, hi = _ranges(X[rows], ~miss[rows], starts)
     eligible = lo < hi
@@ -280,32 +295,33 @@ def _split_single(X, miss, n_labels, rows, seg, starts, owner, rngs):
     x, known = X.ravel()[at], ~miss.ravel()[at]
     left = known & (x <= thr[seg])
     cats = np.flatnonzero(ok & cat)
+    sides = np.zeros((0, 2, max(1, int(n_labels.max()))), dtype=bool)
     if len(cats):
         # The categories present at each categorical segment get the coins.
         hit = known & cat[seg]
         codes = x[hit].astype(np.intp)
-        present = np.zeros((n_seg, int(n_labels.max())), dtype=bool)
+        present = np.zeros((n_seg, sides.shape[2]), dtype=bool)
         present[seg[hit], codes] = True
         left_set = np.zeros_like(present)
         left_set[cats], ok[cats] = _subsets(rngs, owner[cats], present[cats])
         left[hit] = left_set[seg[hit], codes]
-    splits = []
-    size = n_labels.tolist()
-    for i, v, z in zip(np.flatnonzero(ok).tolist(), var[ok].tolist(), thr[ok].tolist()):
-        if size[v]:
-            splits.append(CategoricalSplit(
-                v, left_set[i, : size[v]].copy(), present[i, : size[v]].copy(), 0.0
-            ))
-        else:
-            splits.append(NumericSplit(v, z, 0.0))
-    return ok, splits, left, known & ~left
+        c = np.flatnonzero(ok & cat)
+        sides = np.stack([left_set[c], present[c] & ~left_set[c]], axis=1)
+    split = {
+        "kind": np.where(cat[ok], CATEGORICAL, NUMERIC).astype(np.int8),
+        "var": var[ok].astype(np.int32),
+        # A categorical split stores threshold 0.
+        "threshold": np.where(cat[ok], 0.0, thr[ok]),
+        "sides": sides,
+    }
+    return ok, split, left, known & ~left
 
 
 def _split_hyperplane(X, miss, n_labels, rows, seg, starts, owner, rngs, ndim):
     """Draw a hyperplane split for each segment of rows, over up to `ndim`
     of its eligible columns, segment s from the stream of tree owner[s].
-    Returns (ok, splits, left, right) as
-    `_split_single` does; every row goes one way."""
+    Returns (ok, split, left, right) as `_split_single` does; every row
+    goes one way."""
     n_seg, n_cols = len(starts), X.shape[1]
     lo, hi = _ranges(X[rows], ~miss[rows], starts)
     eligible = lo < hi
@@ -369,26 +385,27 @@ def _split_hyperplane(X, miss, n_labels, rows, seg, starts, owner, rngs, ndim):
     thr = np.full(n_seg, np.nan)
     thr[ok] = _thresholds(rngs, owner[ok], lo_y[ok], hi_y[ok])
     ok &= ~np.isnan(thr)
-    # The node objects, from Python lists: a segment's terms are its first
-    # k slots, the first j of them numeric.
-    size = n_labels.tolist()
-    cat_rows = iter(cat_coef[term_id[ok][cat[ok]]])
-    splits = [
-        HyperplaneSplit(vs[:j], cs[:j], ims[:j], vs[j:k],
-                        [next(cat_rows)[: size[v]].copy() for v in vs[j:k]], ims[j:k], z)
-        for z, j, k, vs, cs, ims in zip(
-            thr[ok].tolist(), num[ok].sum(axis=1).tolist(), n_terms[ok].tolist(),
-            var[ok].tolist(), coef[ok].tolist(), impute[ok].tolist(),
-        )
-    ]
+    # A split's terms, split after split, each in slot order; num_ptr and
+    # cat_ptr hold each split's term counts.
+    num, cat, var, n_ok = num[ok], cat[ok], var[ok].astype(np.int32), np.count_nonzero(ok)
+    split = {
+        "kind": np.full(n_ok, HYPERPLANE, dtype=np.int8),
+        "var": np.full(n_ok, -1, dtype=np.int32),
+        "threshold": thr[ok],
+        "left_fraction": np.zeros(n_ok),
+        "num_ptr": num.sum(axis=1), "num_var": var[num], "num_coef": coef[ok][num],
+        "num_impute": impute[ok][num],
+        "cat_ptr": cat.sum(axis=1), "cat_var": var[cat], "cat_coef": cat_coef[term_id[ok][cat]],
+        "cat_impute": impute[ok][cat],
+    }
     left = y <= thr[seg]
-    return ok, splits, left, ~left
+    return ok, split, left, ~left
 
 
 def _grow(X, miss, n_labels, idxs, rngs, params: ForestParams):
     """Grow one tree per subsample in `idxs` on the cells (X, miss), tree
     t from the stream rngs[t], all one depth level at a time; returns
-    their roots.
+    their stored fields as `_preorder` does.
 
     A level's nodes are those of every tree, sorted by (tree, node), and
     its rows are kept sorted by the node they reach: a single-variable
@@ -405,16 +422,20 @@ def _grow(X, miss, n_labels, idxs, rngs, params: ForestParams):
     node = np.repeat(np.arange(len(idxs)), [len(i) for i in idxs])
     w = np.ones(len(rows)) if weighted else None
     tree = np.arange(len(idxs))  # the tree of each node of the level
-    levels = []  # per depth: (its split nodes, in order; all its nodes, in order)
+    # Per stored field, the entries of the splits, level after level,
+    # after an empty one that sets the field's dtype and shape.
+    width = max(1, int(n_labels.max()))
+    found = {name: [np.zeros({1: (0,), 2: (0, width), 3: (0, 2, width)}[ndim], dtype)]
+             for name, (dtype, ndim) in STORED.items()}
+    sizes, splits = [], []  # per level: each node's size; its splits' positions
     depth = 0
     while len(tree):
         count = np.bincount(node, minlength=len(tree))
-        size = count if w is None else np.bincount(node, weights=w, minlength=len(tree))
-        objs = list(map(Terminal, map(float, size.tolist())))
-        splits = []
-        levels.append((splits, objs))
+        sizes.append(count.astype(float) if w is None
+                     else np.bincount(node, weights=w, minlength=len(tree)))
         cand = count > 1
         if (params.max_depth is not None and depth >= params.max_depth) or not cand.any():
+            splits.append(np.flatnonzero(cand)[:0])
             break
         keep = cand[node]
         rows, node = rows[keep], node[keep]
@@ -424,16 +445,14 @@ def _grow(X, miss, n_labels, idxs, rngs, params: ForestParams):
         starts = np.cumsum(count[cand]) - count[cand]
         owner = tree[cand]
         if weighted:
-            ok, found, left, right = _split_single(
+            ok, split, left, right = _split_single(
                 X, miss, n_labels, rows, seg, starts, owner, rngs
             )
         else:
-            ok, found, left, right = _split_hyperplane(
+            ok, split, left, right = _split_hyperplane(
                 X, miss, n_labels, rows, seg, starts, owner, rngs, params.ndim
             )
-        splits += found
-        for i, p in zip(np.flatnonzero(cand)[ok].tolist(), splits):
-            objs[i] = p
+        splits.append(np.flatnonzero(cand)[ok])
         rank = np.cumsum(ok) - 1
         kid = 2 * rank[seg] + right
         one = ok[seg] & (left | right)
@@ -442,9 +461,7 @@ def _grow(X, miss, n_labels, idxs, rngs, params: ForestParams):
         else:
             wl = np.bincount(seg[left], weights=w[left], minlength=len(ok))[ok]
             wr = np.bincount(seg[right], weights=w[right], minlength=len(ok))[ok]
-            b = wl / (wl + wr)
-            for p, frac in zip(splits, b.tolist()):
-                p.left_fraction = frac
+            b = split["left_fraction"] = wl / (wl + wr)
             both = np.flatnonzero(ok[seg] & ~(left | right))
             bb = b[rank[seg[both]]]
             rows = np.concatenate([rows[one], rows[both], rows[both]])
@@ -452,48 +469,57 @@ def _grow(X, miss, n_labels, idxs, rngs, params: ForestParams):
             w_kid = np.concatenate([w[one], bb * w[both], (1.0 - bb) * w[both]])
             kept = w_kid >= WEIGHT_FLOOR
             rows, kid, w_kid = rows[kept], kid[kept], w_kid[kept]
+        for name, value in split.items():
+            found[name].append(value)
         order = np.argsort(kid, kind="stable")
         rows, node = rows[order], kid[order]
         w = None if w_kid is None else w_kid[order]
         tree = np.repeat(owner[ok], 2)
         depth += 1
-    for (splits, _), (_, below) in zip(levels, levels[1:]):
-        for p, lt, rt in zip(splits, below[0::2], below[1::2]):
-            p.left, p.right = lt, rt
-    return levels[0][1]
+    return _preorder(sizes, splits, {name: np.concatenate(v) for name, v in found.items()})
 
 
-def leaf_depths(tree) -> np.ndarray:
-    """Depths of the terminals of `tree`, in pre-order, left first; the
-    tree has 2 * len(result) - 1 nodes."""
-    depths, stack = [], [(tree, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, Terminal):
-            depths.append(depth)
-        else:
-            stack += [(node.right, depth + 1), (node.left, depth + 1)]
-    return np.array(depths)
+def _preorder(sizes, splits, found) -> dict:
+    """The stored fields (see STORED) of trees grown level by level, each
+    tree numbered in pre-order, left first, tree after tree; but roots,
+    num_ptr and cat_ptr hold counts: each tree's nodes, each hyperplane's
+    terms.
 
-
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector while node objects are made.
-
-    The collector would pass over every live object while the nodes are
-    made, 3-4x their build time at 25k nodes.  Nodes form no reference
-    cycles, so pausing it leaves nothing behind.  They live long: one young
-    collection moves them to the oldest generation, where later young
-    collections, during the caller's next work, would pass over them
-    twice.  A collector that was off stays off."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.collect(1)
-            gc.enable()
+    Level 0 holds the roots.  sizes[d] is each node's size on level d and
+    splits[d] the positions of its splits, in order; split j has children
+    2j and 2j + 1 on level d + 1.  `found` holds the splits' entries in
+    that order, level after level, and those of their code rows and terms
+    (see `_split_single` and `_split_hyperplane`)."""
+    # Subtree sizes bottom-up (the last level has no splits), then each
+    # node's position top-down: a split's left child follows it, and its
+    # right child follows the left child's subtree.
+    sub = [np.ones(len(s), dtype=np.int64) for s in sizes]
+    for d in range(len(sub) - 2, -1, -1):
+        sub[d][splits[d]] += sub[d + 1][0::2] + sub[d + 1][1::2]
+    pos = [np.cumsum(sub[0]) - sub[0]]
+    for d in range(len(sub) - 1):
+        left = pos[d][splits[d]] + 1
+        pos.append(np.stack([left, left + sub[d + 1][0::2]], axis=1).ravel())
+    at = np.concatenate([p[s] for p, s in zip(pos, splits)])  # the splits, in level order
+    n = int(sub[0].sum())
+    out = dict(found, roots=sub[0], size=np.zeros(n))
+    out["size"][np.concatenate(pos)] = np.concatenate(sizes)
+    out["size"][at] = 0.0
+    for name, fill in (("kind", TERMINAL), ("var", -1), ("threshold", 0.0), ("left_fraction", 0.0)):
+        out[name] = np.full(n, fill, dtype=STORED[name][0])
+        out[name][at] = found[name]
+    # The categorical splits' code rows, and the hyperplanes' term counts
+    # and terms, in the pre-order of their splits.
+    kind = found["kind"]
+    out["sides"] = found["sides"][np.argsort(at[kind == CATEGORICAL])]
+    hyp = at[kind == HYPERPLANE]
+    for p in ("num", "cat"):
+        count = found[f"{p}_ptr"]
+        out[f"{p}_ptr"] = count[np.argsort(hyp)]
+        terms = np.argsort(np.repeat(hyp, count), kind="stable")
+        for t in ("var", "coef", "impute"):
+            out[f"{p}_{t}"] = found[f"{p}_{t}"][terms]
+    return out
 
 
 def _tree_rng(seed: int, tree_index: int):
@@ -515,42 +541,45 @@ def fit_forest(ds: Dataset, params: ForestParams, threads: int = 1) -> Forest:
     if not (lo < hi).any():
         raise FitError("no column has >= 2 distinct non-missing values")
     n_sub = ds.n_rows if params.subsample is None else min(params.subsample, ds.n_rows)
-    n_labels = np.array([len(c.labels) if c.kind == "categorical" else 0 for c in ds.columns])
-    p = ds.weights / ds.weights.sum()
-    trees = []
-    batch = max(1, GROW_CELLS // (n_sub * ds.n_cols))
-    with _gc_paused():
-        for k0 in range(0, params.n_trees, batch):
-            rngs = [_tree_rng(params.seed, k) for k in range(k0, min(k0 + batch, params.n_trees))]
-            idxs = [
-                rng.choice(ds.n_rows, size=n_sub, replace=False, p=p)
-                if n_sub < ds.n_rows
-                else np.arange(ds.n_rows)
-                for rng in rngs
-            ]
-            trees += _grow(X, miss, n_labels, idxs, rngs, params)
     schema = [
         {"name": name, "kind": c.kind, "labels": c.labels}
         for name, c in zip(ds.names, ds.columns)
     ]
-    return Forest(params=params, schema=schema, trees=trees, n_sub=n_sub)
+    n_labels = _label_counts(schema)
+    p = ds.weights / ds.weights.sum()
+    parts = []
+    batch = max(1, GROW_CELLS // (n_sub * ds.n_cols))
+    for k0 in range(0, params.n_trees, batch):
+        rngs = [_tree_rng(params.seed, k) for k in range(k0, min(k0 + batch, params.n_trees))]
+        idxs = [
+            rng.choice(ds.n_rows, size=n_sub, replace=False, p=p)
+            if n_sub < ds.n_rows
+            else np.arange(ds.n_rows)
+            for rng in rngs
+        ]
+        parts.append(_grow(X, miss, n_labels, idxs, rngs, params))
+    stored = {name: np.concatenate([part[name] for part in parts]) for name in STORED}
+    for name in ("roots", "num_ptr", "cat_ptr"):
+        stored[name] = np.concatenate([[0], np.cumsum(stored[name])]).astype(STORED[name][0])
+    # The code tables are as wide as the most labels of a column they
+    # hold codes of, and at least 1.
+    cat_splits = stored["var"][stored["kind"] == CATEGORICAL]
+    stored["sides"] = stored["sides"][:, :, : max(1, n_labels[cat_splits].max(initial=0))]
+    stored["cat_coef"] = stored["cat_coef"][:, : max(1, n_labels[stored["cat_var"]].max(initial=0))]
+    return Forest(params=params, schema=schema, flat=_finish(**stored), n_sub=n_sub)
 
 
 # ---------------------------------------------------------------------------
 # Prediction: the trees as flat pre-order arrays, and one level-wise router.
 
-# Node kinds in `FlatForest.kind`.
-TERMINAL, NUMERIC, CATEGORICAL, HYPERPLANE = range(4)
-
 
 @dataclass
 class FlatForest:
-    """A forest's trees as flat arrays, numbered in pre-order, left first,
-    tree after tree: tree t holds nodes [roots[t], roots[t + 1]).  The
-    subtree of node i ends before `end[i]`, so the left child of split i is
-    i + 1 and its right child end[i + 1]."""
+    """A forest's trees as flat arrays, as fitting emits them, numbered in
+    pre-order, left first, tree after tree: tree t holds nodes
+    [roots[t], roots[t + 1]).  The subtree of node i ends before `end[i]`,
+    so the left child of split i is i + 1 and its right child end[i + 1]."""
 
-    trees: tuple  # the tree objects compiled, to tell when they change
     roots: np.ndarray  # int64, n_trees + 1 entries
     kind: np.ndarray  # int8: TERMINAL, NUMERIC, CATEGORICAL or HYPERPLANE
     var: np.ndarray  # int32: the column of a numeric or categorical split
@@ -577,10 +606,6 @@ class FlatForest:
     cat_var: np.ndarray
     cat_coef: np.ndarray  # float64 (terms, codes), NaN where absent
     cat_impute: np.ndarray
-
-
-_KIND = {Terminal: TERMINAL, NumericSplit: NUMERIC, CategoricalSplit: CATEGORICAL,
-         HyperplaneSplit: HYPERPLANE}
 
 
 def _shape(kind: np.ndarray, start: int):
@@ -612,12 +637,12 @@ def _shape(kind: np.ndarray, start: int):
     return end + start, depth
 
 
-def _finish(trees, threshold, **stored) -> FlatForest:
-    """The FlatForest of `trees` from its stored fields (see STORED): each
-    node's subtree end and depth, the slot of a categorical or hyperplane
-    split, and the value of a node, a split's threshold or a terminal's
-    isolation depth, are derived here.  `threshold` becomes the value
-    array, in place: a copy would raise the peak memory of a compile."""
+def _finish(threshold, **stored) -> FlatForest:
+    """The FlatForest of the stored fields (see STORED): each node's
+    subtree end and depth, the slot of a categorical or hyperplane split,
+    and the value of a node, a split's threshold or a terminal's isolation
+    depth, are derived here.  `threshold` becomes the value array, in
+    place: a copy would raise the peak memory."""
     kind, roots = stored["kind"], stored["roots"].tolist()
     n = len(kind)
     end = np.empty(n, dtype=np.int32)
@@ -636,88 +661,7 @@ def _finish(trees, threshold, **stored) -> FlatForest:
     expected = np.array([depth_math.expected_isolation(int(k)) for k in n_eff])
     value = threshold
     value[term] = depth[term] + expected[inv]
-    return FlatForest(trees=tuple(trees), slot=slot, value=value, end=end, depth=depth, **stored)
-
-
-def _compile(trees) -> FlatForest:
-    """`trees` as a FlatForest: one iterative pre-order pass per tree
-    collects the nodes, then each stored field is gathered per node kind."""
-    nodes, roots = [], []
-    for tree in trees:
-        roots.append(len(nodes))
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            nodes.append(node)
-            if type(node) is not Terminal:
-                stack += (node.right, node.left)
-    n = len(nodes)
-    kind = np.fromiter((_KIND[type(x)] for x in nodes), dtype=np.int8, count=n)
-    var = np.full(n, -1, dtype=np.int32)
-    threshold = np.zeros(n)
-    frac = np.zeros(n)
-    size = np.zeros(n)
-
-    def of(cls):
-        """The ids and the nodes of class `cls`, in pre-order."""
-        return np.flatnonzero(kind == _KIND[cls]), [x for x in nodes if type(x) is cls]
-
-    idx, sel = of(Terminal)
-    size[idx] = [x.size for x in sel]
-    for cls in (NumericSplit, CategoricalSplit):
-        idx, sel = of(cls)
-        var[idx] = [x.var for x in sel]
-        frac[idx] = [x.left_fraction for x in sel]
-    idx, nums = of(NumericSplit)
-    threshold[idx] = [x.threshold for x in nums]
-    _, cats = of(CategoricalSplit)
-    sides = np.zeros((len(cats), 2, max((len(x.present) for x in cats), default=1)), dtype=bool)
-    for k, x in enumerate(cats):
-        sides[k, 0, : len(x.present)] = x.present & x.left_set
-        sides[k, 1, : len(x.present)] = x.present & ~x.left_set
-    idx, hyps = of(HyperplaneSplit)
-    threshold[idx] = [x.threshold for x in hyps]
-
-    def terms(attr, dtype=np.float64):
-        """One field of every hyperplane term, hyperplane after hyperplane."""
-        return np.array([v for x in hyps for v in getattr(x, attr)], dtype=dtype)
-
-    cat_coefs = [c for x in hyps for c in x.cat_coefs]
-    cat_coef = np.full((len(cat_coefs), max(map(len, cat_coefs), default=1)), np.nan)
-    for k, c in enumerate(cat_coefs):
-        cat_coef[k, : len(c)] = c
-    return _finish(
-        trees,
-        roots=np.array(roots + [n], dtype=np.int64),
-        kind=kind,
-        var=var,
-        threshold=threshold,
-        left_fraction=frac,
-        size=size,
-        sides=sides,
-        num_ptr=np.cumsum([0] + [len(x.num_vars) for x in hyps], dtype=np.int32),
-        num_var=terms("num_vars", np.int32),
-        num_coef=terms("num_coefs"),
-        num_impute=terms("num_imputes"),
-        cat_ptr=np.cumsum([0] + [len(x.cat_vars) for x in hyps], dtype=np.int32),
-        cat_var=terms("cat_vars", np.int32),
-        cat_coef=cat_coef,
-        cat_impute=terms("cat_imputes"),
-    )
-
-
-def flat_forest(forest: Forest) -> FlatForest:
-    """`forest.trees` compiled into a FlatForest.  The result is kept on
-    the forest and compiled again only when `forest.trees` no longer holds
-    the same tree objects."""
-    flat = forest._flat
-    if (
-        flat is None
-        or len(flat.trees) != len(forest.trees)
-        or any(a is not b for a, b in zip(flat.trees, forest.trees))
-    ):
-        flat = forest._flat = _compile(forest.trees)
-    return flat
+    return FlatForest(slot=slot, value=value, end=end, depth=depth, **stored)
 
 
 def _every(mask):
@@ -903,9 +847,8 @@ _NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
 
 
 def save_model(forest: Forest, path) -> None:
-    """Write `forest` to `path` as its compiled arrays; the compile stays
-    cached on the forest for later prediction."""
-    flat = flat_forest(forest)
+    """Write `forest` to `path` as its stored arrays (see STORED)."""
+    flat = forest.flat
     header = {"format_version": FORMAT_VERSION, "params": asdict(forest.params),
               "n_sub": forest.n_sub, "schema": forest.schema}
     threshold = np.where(flat.kind == TERMINAL, 0.0, flat.value)
@@ -999,9 +942,10 @@ def _validate(a: dict, model_kind: str, n_labels, n_trees: int, n_sub: int) -> N
 
 
 def _trees(flat: FlatForest, n_labels) -> list:
-    """The node objects of `flat`'s trees, their roots in order: each kind's
-    nodes are built from `.tolist()` columns, then one pass links every
-    split to its children."""
+    """The node objects of `flat`'s trees, their roots in order, as
+    `Forest.trees` shows them; n_labels holds each column's label count.
+    Each kind's nodes are built from `.tolist()` columns, then one pass
+    links every split to its children."""
     kind = flat.kind
     obj = np.empty(len(kind), dtype=object)
     idx = np.flatnonzero(kind == TERMINAL)
@@ -1034,8 +978,7 @@ def _trees(flat: FlatForest, n_labels) -> list:
 
 def load_model(path) -> Forest:
     """Read a model written by `save_model`; every malformed file raises
-    ModelFormatError naming `path`.  The forest comes with its FlatForest,
-    so prediction does not compile it again."""
+    ModelFormatError naming `path`."""
     with open(path, "rb") as fh:
         try:
             old = re.match(rb'\s*\{\s*"format_version"\s*:\s*(-?\d+)', fh.read(64))
@@ -1072,9 +1015,7 @@ def load_model(path) -> Forest:
                     ok = spec["kind"] == "numeric"
                 if not (ok and type(spec["name"]) is str):
                     raise ModelFormatError(f"malformed schema column {spec!r}")
-            n_labels = np.array([len(s["labels"]) if s["kind"] == "categorical" else -1
-                                 for s in schema], dtype=np.int64)
-            _validate(a, params.model_kind, n_labels, params.n_trees, n_sub)
+            _validate(a, params.model_kind, _label_counts(schema), params.n_trees, n_sub)
         except ModelFormatError as exc:
             raise ModelFormatError(f"{path}: {exc}") from exc
         # zipfile raises BadZipFile, EOFError and OSError, and RuntimeError
@@ -1085,9 +1026,5 @@ def load_model(path) -> Forest:
         except (zipfile.BadZipFile, EOFError, OSError, RuntimeError, KeyError, TypeError,
                 ValueError, OverflowError) as exc:
             raise ModelFormatError(f"{path}: malformed model file: {exc}") from exc
-    flat = _finish((), **{name: a[name] for name in STORED})
-    with _gc_paused():
-        flat.trees = tuple(_trees(flat, n_labels))
-    forest = Forest(params=params, schema=schema, trees=list(flat.trees), n_sub=n_sub)
-    forest._flat = flat
-    return forest
+    flat = _finish(**{name: a[name] for name in STORED})
+    return Forest(params=params, schema=schema, flat=flat, n_sub=n_sub)

@@ -14,6 +14,7 @@ the random draws differs, so the two growers agree in distribution.
 import math
 
 import numpy as np
+from node_trees import compile_trees
 
 from isodist.forest import (
     MAX_REDRAWS,
@@ -225,4 +226,4 @@ def recursive_fit(ds, params):
         trees.append(recursive_grow(ds, idx, w, 0, rng, params))
     schema = [{"name": name, "kind": c.kind, "labels": c.labels}
               for name, c in zip(ds.names, ds.columns)]
-    return Forest(params=params, schema=schema, trees=trees, n_sub=n_sub)
+    return Forest(params=params, schema=schema, flat=compile_trees(trees), n_sub=n_sub)

@@ -123,10 +123,10 @@ def test_criterion_04_metric_properties(cloud500):
     )
     ultra_bad = 0
     tri_bad = 0
-    for tree in forest.trees:
+    for t in range(forest.params.n_trees):
         idx = np.unique(triples)
         # raw per-tree separation depths for every sampled triple
-        depths = tree_depth_sums(forest, tree, ds.take(idx))
+        depths = tree_depth_sums(forest, t, ds.take(idx))
         pos = {int(v): k for k, v in enumerate(idx)}
         for a, b, c in triples:
             ia, ib, ic = pos[int(a)], pos[int(b)], pos[int(c)]

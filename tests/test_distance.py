@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from child import run_python
 from model_file import read_model, write_model
+from node_trees import compile_trees
 
 from isodist import distance
 from isodist.bench import generate_scenario
@@ -41,7 +42,7 @@ def hand_forest(trees, n_sub=2, schema=None):
     """Forest wrapping hand-built trees over one column (numeric by default)."""
     params = ForestParams(n_trees=len(trees), seed=0)
     schema = schema or [{"name": "x", "kind": "numeric", "labels": None}]
-    return Forest(params=params, schema=schema, trees=trees, n_sub=n_sub)
+    return Forest(params=params, schema=schema, flat=compile_trees(trees), n_sub=n_sub)
 
 
 def weighted_case(kind):
@@ -106,10 +107,19 @@ def test_separation_depth_counts_shared_nodes():
         left=deep, right=Terminal(1.0),
     )
     ds = numeric_dataset([[0.0, 1.0]])
-    D = tree_depth_sums(hand_forest([tree]), tree, ds)
+    D = tree_depth_sums(hand_forest([tree]), 0, ds)
     assert D[0, 1] == 2.0
     # A row counts only the nodes it shares with another row.
     assert np.array_equal(np.diag(D), [2.0, 2.0])
+
+
+def test_tree_depth_sums_rejects_a_tree_index_out_of_range():
+    tree = NumericSplit(var=0, threshold=0.5, left_fraction=0.5,
+                        left=Terminal(1.0), right=Terminal(1.0))
+    forest, ds = hand_forest([tree] * 2), numeric_dataset([[0.0, 1.0]])
+    for t in (-1, 2):
+        with pytest.raises(ValueError, match=rf"tree index {t} is outside range\(2\)"):
+            tree_depth_sums(forest, t, ds)
 
 
 @pytest.mark.parametrize("kind", ["numeric", "categorical"])
@@ -122,7 +132,7 @@ def test_both_branch_rows_carry_exact_weights(kind):
         [1.0, 4.0, 3.25],
         [1.75, 3.25, 1.0 + 3 * 0.0625 + 3 * 0.5625],
     ])
-    assert np.array_equal(tree_depth_sums(forest, forest.trees[0], ds), expected)
+    assert np.array_equal(tree_depth_sums(forest, 0, ds), expected)
     # Isolation depth: 1 + E[isolation among 1] = 1 on the left, 1 + 1 = 2
     # on the right, and 0.25*1 + 0.75*2 for the both-branch row.
     depths = np.array([1.0, 2.0, 1.75])
@@ -141,8 +151,8 @@ def test_output_range_and_symmetry(cloud, cloud_forest):
 
 
 def test_integer_depth_sums_without_missing(cloud, cloud_forest):
-    for tree in cloud_forest.trees[:5]:
-        D = tree_depth_sums(cloud_forest, tree, cloud)
+    for t in range(5):
+        D = tree_depth_sums(cloud_forest, t, cloud)
         iu = np.triu_indices(cloud.n_rows, k=1)
         assert np.allclose(D[iu], np.round(D[iu]), atol=1e-9)
         assert np.all(D[iu] >= 1.0)
@@ -154,8 +164,8 @@ def test_ultrametric_triples_exact(cloud, cloud_forest):
     tri = tri[
         (tri[:, 0] != tri[:, 1]) & (tri[:, 1] != tri[:, 2]) & (tri[:, 0] != tri[:, 2])
     ]
-    for tree in cloud_forest.trees[:10]:
-        D = tree_depth_sums(cloud_forest, tree, cloud)
+    for t in range(10):
+        D = tree_depth_sums(cloud_forest, t, cloud)
         s = np.sort(
             np.stack([D[tri[:, 0], tri[:, 1]], D[tri[:, 1], tri[:, 2]],
                       D[tri[:, 0], tri[:, 2]]]),
@@ -172,8 +182,8 @@ def test_per_tree_transformed_distance_triangle(cloud, cloud_forest):
     tri = tri[
         (tri[:, 0] != tri[:, 1]) & (tri[:, 1] != tri[:, 2]) & (tri[:, 0] != tri[:, 2])
     ]
-    for tree in cloud_forest.trees[:10]:
-        D = tree_depth_sums(cloud_forest, tree, cloud)
+    for t in range(10):
+        D = tree_depth_sums(cloud_forest, t, cloud)
         d = 2.0 ** (-(D - 1.0) / 2.0)
         ab = d[tri[:, 0], tri[:, 1]]
         bc = d[tri[:, 1], tri[:, 2]]

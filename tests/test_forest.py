@@ -12,14 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from model_file import first, read_model, with_code_past_labels, write_model
+from node_trees import compile_trees
 from recursive_grower import recursive_fit
 from scipy import stats
 
 from isodist.bench import generate_scenario
-from isodist.data import Column, Dataset
-from isodist import distance
+from isodist import cli, distance
+from isodist.data import Column, Dataset, write_csv
 from isodist import forest as forest_mod
-from isodist.distance import anomaly_scores, separation_matrix
+from isodist.distance import anomaly_scores, pair_distance, separation_matrix
 from isodist.forest import (
     CATEGORICAL,
     NUMERIC,
@@ -36,8 +37,6 @@ from isodist.forest import (
     _thresholds,
     descend,
     fit_forest,
-    flat_forest,
-    leaf_depths,
     load_model,
     remap_dataset,
     save_model,
@@ -192,7 +191,7 @@ def test_routed_weight_conserved_per_node():
     miss = rng.random(100) < 0.2
     ds = numeric_dataset([vals, rng.standard_normal(100)], missing=[miss, miss[::-1]])
     forest = fit_forest(ds, ForestParams(n_trees=5, seed=4))
-    flat = flat_forest(forest)
+    flat = forest.flat
     _, nodes, w = descend(flat, ds, range(5), True, every_node=True)
     mass = np.bincount(nodes, weights=w, minlength=len(flat.kind))
     split = np.flatnonzero((flat.kind != TERMINAL) & (mass > 0))
@@ -205,7 +204,7 @@ def test_routed_weight_conserved_per_node():
 def test_terminal_rowsets_partition_subsample(normal_ds):
     # Fully observed data: each row lands in exactly one terminal.
     forest = fit_forest(normal_ds, ForestParams(n_trees=3, seed=8))
-    flat = flat_forest(forest)
+    flat = forest.flat
     for t in range(3):
         rows, nodes, w = descend(flat, normal_ds, range(t, t + 1), True)
         assert np.all(flat.kind[nodes] == TERMINAL)
@@ -235,7 +234,7 @@ def test_routing_the_fitted_rows_gives_every_terminal_size(kind, ndim, table):
     # fitted on reach each terminal with the weight it holds.
     ds = generate_scenario(table, 200, np.random.default_rng(3))["dataset"]
     forest = fit_forest(ds, ForestParams(n_trees=4, seed=5, model_kind=kind, ndim=ndim))
-    flat = flat_forest(forest)
+    flat = forest.flat
     _, nodes, w = descend(flat, ds, range(4), True)
     mass = np.bincount(nodes, weights=w, minlength=len(flat.kind))
     got = mass[flat.kind == TERMINAL]
@@ -247,22 +246,29 @@ def test_routing_the_fitted_rows_gives_every_terminal_size(kind, ndim, table):
         assert np.array_equal(got, want)
 
 
-def test_compiled_once_per_forest(monkeypatch, normal_ds):
+def assert_same_flat(got, want):
+    """Every field of the FlatForest `got` equals that of `want`, in dtype,
+    shape and value."""
+    for name, value in vars(want).items():
+        have = getattr(got, name)
+        assert have.dtype == value.dtype and np.array_equal(have, value, equal_nan=True), name
+
+
+def test_node_view_built_once_per_forest(monkeypatch, tmp_path, normal_ds):
+    # `Forest.trees` is a read-only view of the arrays, built on first use.
     forest = fit_forest(normal_ds, ForestParams(n_trees=3, seed=1))
-    compiled = []
-    real = forest_mod._compile
-    monkeypatch.setattr(forest_mod, "_compile", lambda trees: compiled.append(1) or real(trees))
-    first = anomaly_scores(forest, normal_ds)
-    assert np.array_equal(anomaly_scores(forest, normal_ds), first)
-    assert len(compiled) == 1
-    # Another tree object in the list is compiled anew.
-    forest.trees[1] = fit_forest(normal_ds, ForestParams(n_trees=1, seed=2)).trees[0]
-    again = anomaly_scores(forest, normal_ds)
-    assert len(compiled) == 2
-    assert not np.array_equal(again, first)
-    fresh = fit_forest(normal_ds, ForestParams(n_trees=3, seed=1))
-    fresh.trees[1] = forest.trees[1]
-    assert np.array_equal(anomaly_scores(fresh, normal_ds), again)
+    built = []
+    real = forest_mod._trees
+    monkeypatch.setattr(forest_mod, "_trees", lambda *a: built.append(1) or real(*a))
+    assert forest.trees is forest.trees
+    assert len(built) == 1
+    with pytest.raises(TypeError):
+        forest.trees[1] = forest.trees[0]
+    save_model(forest, tmp_path / "model.npz")
+    loaded = load_model(tmp_path / "model.npz")
+    assert len(built) == 1
+    assert_same_flat(compile_trees(loaded.trees), loaded.flat)
+    assert len(built) == 2
 
 
 def test_overflowing_range_still_splits():
@@ -657,13 +663,14 @@ def two_split_tree(right_var=0, right_threshold=2.0):
 def one_tree(tree, n_cols=1):
     """A forest wrapping one hand-built tree over numeric columns."""
     schema = [{"name": f"x{j}", "kind": "numeric", "labels": None} for j in range(n_cols)]
-    return Forest(params=ForestParams(n_trees=1), schema=schema, trees=[tree], n_sub=2)
+    return Forest(params=ForestParams(n_trees=1), schema=schema, flat=compile_trees([tree]),
+                  n_sub=2)
 
 
 def descended(tree, ds, weighted, every_node=True):
     """(node, rows, weights) of each node the router reaches in a one-tree
     forest over `ds`, in node order, with each node's rows ascending."""
-    flat = flat_forest(one_tree(tree, ds.n_cols))
+    flat = one_tree(tree, ds.n_cols).flat
     rows, nodes, w = descend(flat, ds, range(1), weighted, every_node)
     out = []
     for v in np.unique(nodes):
@@ -675,14 +682,14 @@ def descended(tree, ds, weighted, every_node=True):
 
 def leaf_order(forest, t, ds):
     """Rows of `ds` sorted by where an unweighted descent of tree t ends."""
-    rows, nodes, _ = descend(flat_forest(forest), ds, range(t, t + 1), False)
+    rows, nodes, _ = descend(forest.flat, ds, range(t, t + 1), False)
     return rows[np.argsort(nodes, kind="stable")]
 
 
 def test_descend_reaches_nodes_in_pre_order():
     ds = numeric_dataset([[3.0, 0.0, 1.0, 0.2, 5.0]])
     tree = two_split_tree()
-    flat = flat_forest(one_tree(tree))
+    flat = one_tree(tree).flat
     assert flat.kind.tolist() == [NUMERIC, TERMINAL, NUMERIC, TERMINAL, TERMINAL]
     assert flat.end.tolist() == [5, 2, 5, 4, 5]
     assert flat.depth.tolist() == [0, 1, 1, 2, 2]
@@ -744,6 +751,12 @@ def test_row_alone_at_a_split_stays_on_the_kernel(monkeypatch):
     assert np.array_equal(separation_matrix(forest, ds).values, 2.0 ** (-(depth - 1.0) / 2.0))
 
 
+def leaf_depths(forest, t):
+    """Depths of the terminals of tree t, in pre-order."""
+    a, b = forest.flat.roots[t : t + 2]
+    return forest.flat.depth[a:b][forest.flat.kind[a:b] == TERMINAL]
+
+
 def recursive_leaf_depths(node, depth=0):
     if isinstance(node, Terminal):
         return [depth]
@@ -755,8 +768,8 @@ def recursive_leaf_depths(node, depth=0):
 def test_leaf_depths_match_recursive_reference(kind, ndim):
     ds = generate_scenario("mixed", 150, np.random.default_rng(8))["dataset"]
     forest = fit_forest(ds, ForestParams(n_trees=4, seed=9, model_kind=kind, ndim=ndim))
-    for tree in forest.trees:
-        depths = leaf_depths(tree)
+    for t, tree in enumerate(forest.trees):
+        depths = leaf_depths(forest, t)
         assert depths.tolist() == recursive_leaf_depths(tree)
         assert 2 * len(depths) - 1 == sum(1 for _ in nodes(tree))
 
@@ -804,8 +817,8 @@ def fit_statistics(fit, kind, ndim):
             ds = generate_scenario(table, 60, np.random.default_rng(seed))[key]
             sd = np.array([np.std(c.values[~c.missing]) for c in ds.columns])
             forest = fit(ds, ForestParams(n_trees=4, seed=seed, model_kind=kind, ndim=ndim))
-            for tree in forest.trees:
-                depths = leaf_depths(tree)
+            for t, tree in enumerate(forest.trees):
+                depths = leaf_depths(forest, t)
                 stat["nodes"].append(2 * len(depths) - 1)
                 stat["mean depth"].append(depths.mean())
                 stat["max depth"].append(depths.max())
@@ -859,7 +872,7 @@ def test_tree_deeper_than_the_recursion_limit(tmp_path):
     ds = numeric_dataset([x])
     for kind in ("single", "extended"):
         forest = fit_forest(ds, ForestParams(n_trees=1, seed=0, model_kind=kind))
-        assert leaf_depths(forest.trees[0]).max() > sys.getrecursionlimit()
+        assert forest.flat.depth.max() > sys.getrecursionlimit()
         scores = anomaly_scores(forest, ds)
         assert np.all((scores > 0) & (scores <= 1))
         path = tmp_path / f"{kind}.npz"
@@ -921,6 +934,80 @@ def test_batched_trees_equal_trees_grown_alone(monkeypatch, tmp_path, table, kin
     assert digests[2] == digests[0]
 
 
+# The sha256 of each batching table's model file, fitted with n_trees=3,
+# seed=4: fixed-seed forests must not drift while the random stream is
+# unchanged.
+FOREST_DIGESTS = {
+    ("complete", "single"):
+        "44d7fb34af0e49253486653f0e43e16578de35fc496031f41f46ee24a8fd0f34",
+    ("complete", "extended"):
+        "23dd3a31469e9299f42e550ade03ff4acb7d5975033935ea4db8888315b237fa",
+    ("missing cells", "single"):
+        "72b268d5fef01dcb0bbdc49d244923a254eb81c882b0b13bb1ea2de067d94c53",
+    ("missing cells", "extended"):
+        "07e5d78695a56d6e46efd15de095de6233b2e68627b6a7437c2e4aa6532dc34b",
+    ("unseen codes", "single"):
+        "29b5ba95d43b6e6db97ca92be95b6ecc84adb92c1e1d0187a827e43f7f7f93ed",
+    ("unseen codes", "extended"):
+        "3c7c5550da28b768c72791569c410c58f975eee2fb43c965e4cf36432fd71061",
+    ("mixed max_depth", "single"):
+        "2ce4164f457edde0a85fe5668e034e7b75e1b62182c18f14eab7d1e9b43905a5",
+    ("mixed max_depth", "extended"):
+        "1a4953925668b717b67e19b1eaf1a9d3071af14ad52c51a4e8b22803c14042b2",
+    ("mixed subsample", "single"):
+        "d93a49a3c95ec46f3ef44334168ea511394d98f513fe9d61e4f25c217755f57d",
+    ("mixed subsample", "extended"):
+        "0be927372b803285c3b3d53190eff69cb6fb625fdd8b6da83d2c03635413d0e5",
+    ("deeper than the recursion limit", "single"):
+        "166373d14c7a56a3b6b2ec60b1ceeeef6398fedfe30fd763d96fea7c45cfa573",
+    ("deeper than the recursion limit", "extended"):
+        "a9d0e82598e3777db0d8307d99415e050cdeb212e174ff7321213802ed336ac5",
+}
+
+
+# On the subnormal end of the geometric column an extended node's
+# coefficient, Normal(0, 1) / (scale * sd), overflows to inf.
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@pytest.mark.parametrize("kind, ndim", [("single", 1), ("extended", 2)], ids=["single", "extended"])
+@pytest.mark.parametrize("table", ["complete", "missing cells", "unseen codes", "mixed max_depth",
+                                   "mixed subsample", "deeper than the recursion limit"])
+def test_fixed_seed_forests_keep_their_digest(tmp_path, table, kind, ndim):
+    ds, extra = batching_table(table)
+    forest = fit_forest(ds, ForestParams(n_trees=3, seed=4, model_kind=kind, ndim=ndim, **extra))
+    assert model_digest(forest, tmp_path / "model.npz") == FOREST_DIGESTS[table, kind]
+
+
+def test_library_never_builds_the_node_view(monkeypatch, tmp_path):
+    # Fitting, the model file, distances, scores and the CLI all read the
+    # arrays; `Forest.trees` is only for code that walks nodes.
+    def refuse(*args):
+        raise AssertionError("the node view was built")
+
+    monkeypatch.setattr(forest_mod, "_trees", refuse)
+    weighted = []
+    real = distance._add_weighted
+    monkeypatch.setattr(distance, "_add_weighted", lambda *a: weighted.append(1) or real(*a))
+    t4 = generate_scenario("t4", 60, np.random.default_rng(3))
+    complete, missing = t4["dataset"], t4["na"]
+    path = tmp_path / "model.npz"
+    for kind, ndim in (("single", 1), ("extended", 2)):
+        save_model(fit_forest(missing, ForestParams(n_trees=4, seed=1, model_kind=kind,
+                                                    ndim=ndim)), path)
+        forest = load_model(path)
+        separation_matrix(forest, complete)
+        separation_matrix(forest, missing)
+        anomaly_scores(forest, missing)
+        pair_distance(forest, missing, 0, 1)
+    assert weighted  # the single model's trees on missing cells
+    csv = tmp_path / "data.csv"
+    write_csv(missing, csv)
+    out = str(tmp_path / "out.csv")
+    assert cli.main(["fit", "--input", str(csv), "--trees", "3", "--output", str(path)]) == 0
+    for command in ("dist", "score"):
+        assert cli.main([command, "--input", str(csv), "--model-file", str(path),
+                         "--output", out]) == 0
+
+
 @pytest.mark.parametrize("kind, ndim", [("single", 1), ("extended", 2)], ids=["single", "extended"])
 @pytest.mark.parametrize("table", ["complete", "missing cells", "unseen codes"])
 def test_loaded_model_equals_the_saved_forest(tmp_path, table, kind, ndim):
@@ -930,14 +1017,9 @@ def test_loaded_model_equals_the_saved_forest(tmp_path, table, kind, ndim):
     save_model(forest, path)
     saved = path.read_bytes()
     loaded = load_model(path)
-    assert flat_forest(loaded) is loaded._flat
-    want = flat_forest(forest)
-    # The loaded arrays, and the rebuilt nodes compiled again.
-    for flat in (loaded._flat, forest_mod._compile(loaded.trees)):
-        for name, value in vars(want).items():
-            if name != "trees":
-                got = getattr(flat, name)
-                assert got.dtype == value.dtype and np.array_equal(got, value, equal_nan=True), name
+    # The loaded arrays, and the node view compiled again.
+    assert_same_flat(loaded.flat, forest.flat)
+    assert_same_flat(compile_trees(loaded.trees), forest.flat)
     assert np.array_equal(anomaly_scores(loaded, ds), anomaly_scores(forest, ds))
     assert np.array_equal(separation_matrix(loaded, ds).values,
                           separation_matrix(forest, ds).values)
