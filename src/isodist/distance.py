@@ -21,11 +21,15 @@ depths by one of two paths:
   kernel.  An unweighted descent gives each row the node where it ends;
   sorted by that node, the rows are in leaf order, in which every node's
   rows form one block [s, e), found by `searchsorted` against the node
-  ids and their subtree ends.  A terminal at depth d fills its block with
-  d + 3; a split at depth d fills the two blocks between its children,
-  [s, m) and [m, e), with d + 1.  Each off-diagonal cell of an int32
-  scratch is written once, then gathered into an int32 accumulator.
-  Trees are routed in batches of about ROUTE_TRIPLES triples per level.
+  ids and their subtree ends.  Only the strict upper triangle of an n x n
+  scratch is filled: a terminal at depth d fills its block's with d + 3, a
+  split at depth d the block [s, m) x [m, e) between its children with
+  d + 1, so each upper cell is written once and the rest stays 0.  The
+  scratch is gathered out of leaf order into an int32 accumulator, where
+  each tree adds a pair's depth to one of the pair's two cells; the
+  result adds the two.  The scratch has byte cells when the forest's
+  deepest node's depth + 3 fits in one, int32 cells otherwise.  Trees are
+  routed in batches of about ROUTE_TRIPLES triples per level.
 * Any other tree is summed with weights, as the sparse product
   M diag(c) M^T (the proximity product of RF-GAP, Rhodes, Cutler and Moon,
   arXiv:2201.12682): M holds the weight with which each row reaches each
@@ -36,13 +40,14 @@ depths by one of two paths:
   so that the kernel path and scoring run on numpy alone.
 
 Trees are summed one after another into one set of accumulators: an
-int32 n x n accumulator and two int32 n x n scratch blocks, plus a
-float64 n x n accumulator once a tree takes the weighted path, whose
-sparse product then holds at most one block of BLOCK_CELLS cells (or of
-one row) as sparse and dense values.  Only the n(n-1)/2 upper cells
-become float64, at the end.  Before allocating, `separation_matrix`
-estimates these arrays, the block and the float64 result; if that exceeds
-the memory available to the process it raises `FitError` naming both byte
+int32 n x n accumulator and two n x n scratch blocks of the forest's cell
+width, allocated on the first kernel tree, plus a float64 n x n
+accumulator once a tree takes the weighted path, whose sparse product
+then holds at most one block of BLOCK_CELLS cells (or of one row) as
+sparse and dense values.  Only the n(n-1)/2 upper cells become float64,
+at the end.  Before allocating, `separation_matrix` estimates these
+arrays, the block and the float64 result (but not M); if that exceeds the
+memory available to the process it raises `FitError` naming both byte
 counts.
 
 `anomaly_scores` descends all trees at once with weights, a block of
@@ -71,10 +76,6 @@ from .matrix import CondensedMatrix
 # take them past this value.
 INT32_MAX = int(np.iinfo(np.int32).max)
 
-# Accumulator bytes per n x n cell: int32 accumulator, two int32 scratch
-# blocks, float64 accumulator.
-CELL_BYTES = 4 + 4 + 4 + 8
-
 # A weighted tree's sparse product is made a block of rows of about this
 # many cells at a time: 8 bytes of value and 4 of column index per cell,
 # then 8 bytes per cell as a dense block.
@@ -94,9 +95,9 @@ def _add_weighted(flat: FlatForest, t: int, ds: Dataset, D) -> None:
 
     Its memory is bounded by the tree, not by a block of rows: the
     descent's triples are the entries of M, one per (row, node the row
-    reaches) in this one tree, and the product needs M whole.  On a
-    600-row mixed table with 10% missing cells that is about 65 entries a
-    row on average, against the n cells a row of D."""
+    reaches) in this one tree, and the product needs M whole.  On 600-row
+    mixed tables with 10% missing cells that is about 60 entries a row on
+    average, against the n cells a row of D."""
     from scipy import sparse
 
     rows, nodes, w = descend(flat, ds, range(t, t + 1), True, every_node=True)
@@ -122,17 +123,24 @@ def _block_rows(n: int) -> int:
     return min(n, max(1, BLOCK_CELLS // n))
 
 
+def _cell_type(flat: FlatForest) -> type:
+    """The leaf-order scratch's cell type: bytes while the largest pair
+    depth a tree can give, its deepest node's depth + 3, fits in one."""
+    return np.uint8 if int(flat.depth.max()) + 3 <= np.iinfo(np.uint8).max else np.int32
+
+
 def _tree_sums(forest: Forest, ds: Dataset) -> np.ndarray:
     """Condensed pair depth sums of all trees over the rows of `ds`.
 
     Trees the leaf-order kernel takes add into int32 `counts`, the others
-    into float64 `sums`; each is allocated when a tree first needs it."""
+    into float64 `sums`; each is allocated when a tree first needs it.  A
+    kernel tree adds each pair's depth to one of its two cells of
+    `counts`, so a pair's sum there is the two cells added."""
     flat = forest.flat
     n = ds.n_rows
     n_trees = len(flat.roots) - 1
     counts = sums = None
-    leaf = np.empty((n, n), dtype=np.int32)
-    bound = 0  # the largest value a cell of `counts` can hold
+    bound = 0  # the largest value a pair's two cells of `counts` can hold
     batch = max(1, ROUTE_TRIPLES // n)
     for t0 in range(0, n_trees, batch):
         trees = range(t0, min(t0 + batch, n_trees))
@@ -161,24 +169,27 @@ def _tree_sums(forest: Forest, ds: Dataset) -> np.ndarray:
             d = flat.depth[ids]
             term = flat.kind[ids] == TERMINAL
             top = int(np.where(term, d + 3, d + 1).max(initial=0))
-            # `leaf` takes the pair depths in leaf order: a terminal at
-            # depth d fills its block with d + 3, a split the two blocks
-            # between its children with d + 1; its right child's rows
-            # start at m.
+            if counts is None:
+                counts = np.zeros((n, n), dtype=np.int32)
+                leaf = np.empty((n, n), dtype=_cell_type(flat))
+                scratch = np.empty_like(leaf)
+            # `leaf` takes the pair depths in leaf order, in its strict
+            # upper triangle only: a terminal at depth d fills its block's
+            # with d + 3, a split the block between its children with
+            # d + 1; its right child's rows start at m.
+            leaf.fill(0)
             for s_, e_, d_ in zip(s[term].tolist(), e[term].tolist(), d[term].tolist()):
-                leaf[s_:e_, s_:e_] = d_ + 3
+                for a in range(s_, e_ - 1):
+                    leaf[a, a + 1 : e_] = d_ + 3
             split = ~term
             m = np.searchsorted(keys, flat.end[ids[split] + 1])
             for s_, m_, e_, d_ in zip(s[split].tolist(), m.tolist(), e[split].tolist(),
                                       d[split].tolist()):
                 leaf[s_:m_, m_:e_] = d_ + 1
-                leaf[m_:e_, s_:m_] = d_ + 1
-            if counts is None:
-                counts = np.zeros((n, n), dtype=np.int32)
-                scratch = np.empty_like(counts)
             if bound + top > INT32_MAX:
                 if sums is None:
                     sums = np.zeros((n, n))
+                _fold(counts)
                 sums += counts
                 counts[:] = 0
                 bound = 0
@@ -188,14 +199,23 @@ def _tree_sums(forest: Forest, ds: Dataset) -> np.ndarray:
             np.take(leaf, inv, axis=0, out=scratch)
             np.take(scratch, inv, axis=1, out=leaf)
             counts += leaf
-    # Float sums first: a forest without kernel trees then adds exactly as
-    # the weighted path always has.
-    if sums is None:
-        return _upper(counts)
-    total = _upper(sums)
-    if counts is not None:
-        total += _upper(counts)
-    return total
+    if counts is None:
+        return _upper(sums)
+    _fold(counts)
+    # Float addition commutes: adding the float sums to a pair's integer
+    # sum is adding that sum to them.
+    cells = _upper(counts)
+    if sums is not None:
+        cells += _upper(sums)
+    return cells
+
+
+def _fold(counts: np.ndarray) -> None:
+    """Add each cell below the diagonal of square int32 `counts` into its
+    mirror above, a row slice at a time: each pair's two cells then sum,
+    exactly, in the upper one.  Only upper cells are read afterwards."""
+    for i in range(len(counts) - 1):
+        counts[i, i + 1 :] += counts[i + 1 :, i]
 
 
 def _upper(a) -> np.ndarray:
@@ -248,7 +268,10 @@ def separation_matrix(forest: Forest, ds: Dataset, threads: int = 1) -> Condense
 
     Exact duplicates are collapsed before traversal and expanded back with
     intra-duplicate distance 0.  Raises FitError when the accumulators and
-    the result would not fit in the memory available to the process.
+    the result would not fit in the memory available to the process.  The
+    estimate leaves out a weighted tree's sparse M, one entry per row and
+    node it reaches: on 600-row mixed tables with 10% missing cells that
+    was about 60 entries a row on average and up to 7,991 for one row.
 
     `threads` is accepted and ignored, for backward compatibility: trees
     are summed one after another into one set of accumulators, since a
@@ -262,7 +285,10 @@ def separation_matrix(forest: Forest, ds: Dataset, threads: int = 1) -> Condense
     if rep_ds.n_rows < 2:
         return CondensedMatrix(n)  # all rows identical
     r = rep_ds.n_rows
-    need = CELL_BYTES * r * r + BLOCK_CELL_BYTES * _block_rows(r) * r + 8 * (n * (n - 1) // 2)
+    # Bytes per n x n cell: the int32 accumulator, the two scratch blocks
+    # at the forest's cell width and the float64 accumulator.
+    cell = 4 + 2 * np.dtype(_cell_type(forest.flat)).itemsize + 8
+    need = cell * r * r + BLOCK_CELL_BYTES * _block_rows(r) * r + 8 * (n * (n - 1) // 2)
     available = _available_bytes()
     if available is not None and need > available:
         raise FitError(

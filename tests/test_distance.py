@@ -256,10 +256,11 @@ def test_memory_guard_refuses_before_allocating(monkeypatch, cloud, cloud_forest
 
     monkeypatch.setattr(distance, "_available_bytes", lambda: 1000)
     monkeypatch.setattr(distance, "_tree_sums", accumulate)
-    # 20 bytes x 120^2 cells + 20 bytes x 120^2 cells of one block of the
-    # sparse product (all 120 rows) + 8 bytes x 7140 condensed cells,
-    # whatever `threads` says.
-    with pytest.raises(FitError, match="needs about 633120 bytes, but 1000 bytes"):
+    # 14 bytes x 120^2 cells (the forest's depths fit byte cells) + 20
+    # bytes x 120^2 cells of one block of the sparse product (all 120 rows)
+    # + 8 bytes x 7140 condensed cells, whatever `threads` says.
+    assert distance._cell_type(cloud_forest.flat) is np.uint8
+    with pytest.raises(FitError, match="needs about 546720 bytes, but 1000 bytes"):
         separation_matrix(cloud_forest, cloud, threads=2)
 
 

@@ -3,12 +3,16 @@ recursive node-by-node oracle over the node objects, the paper's distance
 axioms, and batch-independent anomaly scores, on small random mixed
 tables."""
 
+import hashlib
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from recursive_grower import _sides, _split
 
 from isodist import distance
+from isodist.bench import generate_scenario
 from isodist.data import Column, Dataset, deduplicate
 from isodist.depth import expected_isolation, standardize_isolation, standardize_separation
 from isodist.distance import anomaly_scores, separation_matrix, tree_depth_sums
@@ -191,16 +195,113 @@ def test_scores_do_not_depend_on_the_batch(case, data):
     assert np.array_equal(batched, whole)
 
 
-def test_deep_tree_matches_oracle():
-    # On a geometric column a uniform threshold mostly splits off the top
-    # cell or two, so the tree grows deeper than an 8-bit cell can count.
+def geometric_column():
+    """300 rows of 8^k: a uniform threshold mostly splits off the top cell
+    or two, so trees grow deeper than an 8-bit cell can count."""
     x = 8.0 ** np.arange(300)
-    ds = Dataset([Column("numeric", x, np.zeros(len(x), dtype=bool))])
+    return Dataset([Column("numeric", x, np.zeros(len(x), dtype=bool))])
+
+
+def test_deep_tree_matches_oracle():
+    ds = geometric_column()
     forest = fit_forest(ds, ForestParams(n_trees=2, seed=0))
     assert max(tree_depth_sums(forest, t, ds).max() for t in range(2)) > 255 + 3
     want, integral = oracle(forest, ds)
     assert integral
     assert np.array_equal(separation_matrix(forest, ds).values, want)
+
+
+@pytest.mark.parametrize("max_depth, cell", [(252, np.uint8), (253, np.int32)])
+def test_cell_width_boundary_matches_oracle(max_depth, cell):
+    # The deepest pair depth a tree can give is its deepest node's depth
+    # + 3: 255 still fits a byte cell, 256 takes int32 cells.
+    ds = geometric_column()
+    forest = fit_forest(ds, ForestParams(n_trees=2, seed=0, max_depth=max_depth))
+    assert distance._cell_type(forest.flat) is cell
+    assert max(tree_depth_sums(forest, t, ds).max() for t in range(2)) == max_depth + 3
+    want, integral = oracle(forest, ds)
+    assert integral
+    assert np.array_equal(separation_matrix(forest, ds).values, want)
+
+
+def t4_table(missing=0):
+    """150 rows of scenario t4, the first `missing` of them without their
+    first cell."""
+    ds = generate_scenario("t4", 150, np.random.default_rng(11))["dataset"]
+    first = ds.columns[0]
+    cells = Column("numeric", first.values, np.arange(ds.n_rows) < missing)
+    return Dataset([cells] + ds.columns[1:], list(ds.names))
+
+
+def mixed_table():
+    """150 rows of scenario mixed, 10% of its cells missing."""
+    return generate_scenario("mixed", 150, np.random.default_rng(11))["dataset"]
+
+
+# Fixed-seed cases: (table, forest parameters, trees on the weighted path).
+# A subsample forest scored on all rows has terminals of several rows; the
+# geometric forest's depths need int32 cells.
+DIGEST_CASES = {
+    "t4 complete": (t4_table, ForestParams(n_trees=6, seed=2), 0),
+    "t4 missing cells": (lambda: t4_table(3), ForestParams(n_trees=8, seed=2, max_depth=4), 5),
+    "t4 subsample": (t4_table, ForestParams(n_trees=6, seed=2, subsample=16), 0),
+    "mixed single": (mixed_table, ForestParams(n_trees=6, seed=2), 6),
+    "mixed extended": (mixed_table, ForestParams(n_trees=6, seed=2, model_kind="extended",
+                                                 ndim=2), 0),
+    "geometric": (geometric_column, ForestParams(n_trees=2, seed=0), 0),
+}
+
+# The sha256 of `separation_matrix(...).values.tobytes()` for each case,
+# and for "t4 missing cells" with INT32_MAX at 10, pinned when the kernel
+# filled both triangles of int32 cells: distances must not drift while
+# the forests are unchanged.
+MATRIX_DIGESTS = {
+    "t4 complete":
+        "480ac119fd6f1c45e0c79eaa97e274f972f8c68e0cc1a7ef7aa8fd06b555c5b3",
+    "t4 missing cells":
+        "073734fc7be3b8e5fcbd6278dd300e9b3370bb719026c5f6a366f520c0176ded",
+    "t4 subsample":
+        "19877e55c9db17ab18f6cd71378114b4480f8d0424d573245d63cc0da0d113c0",
+    "mixed single":
+        "3cea42a25b2bd119ff8a93983b8c99f9c27c9eea12333162fd0718b53c0cd568",
+    "mixed extended":
+        "943c0c43b114b462fc754997ea0eab1301bf5c4765411b76ed9e87c547796c5a",
+    "geometric":
+        "34348068db57e966190b5e5b4f2447465079786a9b231d416acc56ae8bd262e6",
+    "t4 missing cells, moved at 10":
+        "53115ca1d34ef802235bff2c35068dc0673d95778ccb23cbb123df51b1c2cd19",
+}
+
+
+def matrix_digest(forest, ds):
+    return hashlib.sha256(separation_matrix(forest, ds).values.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", list(DIGEST_CASES))
+def test_fixed_seed_matrices_keep_their_digest(monkeypatch, case):
+    table, params, n_weighted = DIGEST_CASES[case]
+    ds = table()
+    forest = fit_forest(ds, params)
+    weighted = []
+    real = distance._add_weighted
+    monkeypatch.setattr(distance, "_add_weighted", lambda *a: weighted.append(a[1]) or real(*a))
+    assert matrix_digest(forest, ds) == MATRIX_DIGESTS[case]
+    assert len(weighted) == n_weighted
+
+
+def test_int32_sums_move_to_float_between_kernel_and_weighted_trees(monkeypatch):
+    table, params, _ = DIGEST_CASES["t4 missing cells"]
+    ds = table()
+    forest = fit_forest(ds, params)
+    want = separation_matrix(forest, ds).values
+    # Kernel trees 1, 5 and 6 add at most 4 + 3 to a pair, so a cap of 10
+    # moves the int32 sums into the float64 sums, which by then hold
+    # weighted trees, before trees 5 and 6.  That adds integers among the
+    # weighted trees' float sums in another order, so cells agree to float
+    # rounding, and the digest pins the order.
+    monkeypatch.setattr(distance, "INT32_MAX", 10)
+    assert np.allclose(separation_matrix(forest, ds).values, want, rtol=0.0, atol=1e-12)
+    assert matrix_digest(forest, ds) == MATRIX_DIGESTS["t4 missing cells, moved at 10"]
 
 
 def test_int32_sums_move_to_float_before_they_could_wrap(monkeypatch):
