@@ -5,6 +5,10 @@ Columns are either numeric (float64 with a missing mask) or categorical
 Codes are dataset-local; models snapshot the labels so another file's
 codes can be remapped by label, which is what makes "unseen category"
 well defined at prediction time.
+
+The layer works a column at a time: `load_csv` parses each present cell
+once, `write_csv` makes each column's text lazily, and rows are
+duplicates iff their `row_keys` are equal.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -103,22 +108,6 @@ class Dataset:
         ]
         return Dataset(cols, list(self.names), self.weights[rows])
 
-    def row_key(self, i: int) -> tuple:
-        """Hashable identity of row i; bitwise-equal cells compare equal."""
-        parts = []
-        for c in self.columns:
-            if c.missing[i]:
-                parts.append(None)
-            elif c.kind == "numeric":
-                parts.append(float(c.values[i]).hex())
-            else:
-                parts.append(int(c.values[i]))
-        return tuple(parts)
-
-
-def _is_missing(cell: str, missing_tokens) -> bool:
-    return cell in missing_tokens
-
 
 def _parses_numeric(cell: str) -> bool:
     try:
@@ -134,11 +123,12 @@ def load_csv(
     has_header: bool = True,
     missing_tokens=("", "NA"),
 ) -> Dataset:
-    """Read a CSV file into a Dataset.
+    """Read a CSV file into a Dataset, one column at a time.
 
-    `schema` maps column name (or index when there is no header) to
-    "numeric"/"categorical"; unspecified columns are auto-detected, a
-    column being numeric iff every non-missing cell parses as a real.
+    `schema` maps column name (or index) to "numeric"/"categorical"; a key
+    naming no column raises DataError.  Unspecified columns are
+    auto-detected, a column being numeric iff every non-missing cell
+    parses as a real: one `float` call per cell both detects and reads.
     Empty cells and any token in `missing_tokens` parse as missing.
     """
     try:
@@ -165,62 +155,56 @@ def load_csv(
 
     missing_tokens = tuple(missing_tokens)
     schema = schema or {}
+    named = {*names, *range(arity)}
+    for key in schema:
+        if key not in named:
+            raise DataError(f"{path}: schema key {key!r} names no column")
     columns = []
     for ci, name in enumerate(names):
         cells = [row[ci] for row in body]
-        miss = np.array([_is_missing(c, missing_tokens) for c in cells])
+        miss = np.fromiter(map(missing_tokens.__contains__, cells), bool, len(cells))
+        present = ~miss
         kind = schema.get(name, schema.get(ci))
-        if kind is None:
-            kind = (
-                "numeric"
-                if all(m or _parses_numeric(c) for c, m in zip(cells, miss))
-                else "categorical"
-            )
-        if kind == "numeric":
+        if kind in (None, "numeric"):
             vals = np.zeros(len(cells))
-            for ri, (c, m) in enumerate(zip(cells, miss)):
-                if not m:
-                    try:
-                        vals[ri] = float(c)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: row {ri}, column {name!r}: "
-                            f"cannot parse {c!r} as numeric"
-                        ) from None
             try:
-                columns.append(Column("numeric", vals, miss))
-            except DataError as exc:
-                raise DataError(f"{path}: column {name!r}: {exc}") from None
-        else:
-            labels: list[str] = []
-            index: dict[str, int] = {}
-            codes = np.zeros(len(cells), dtype=np.int64)
-            for ri, (c, m) in enumerate(zip(cells, miss)):
-                if m:
-                    continue
-                if c not in index:
-                    index[c] = len(labels)
-                    labels.append(c)
-                codes[ri] = index[c]
-            columns.append(Column("categorical", codes, miss, labels))
+                vals[present] = np.fromiter(map(float, compress(cells, present)), np.float64)
+            except ValueError:
+                if kind == "numeric":
+                    ri = next(i for i in np.flatnonzero(present) if not _parses_numeric(cells[i]))
+                    raise DataError(
+                        f"{path}: row {ri}, column {name!r}: "
+                        f"cannot parse {cells[ri]!r} as numeric"
+                    ) from None
+            else:
+                try:
+                    columns.append(Column("numeric", vals, miss))
+                except DataError as exc:
+                    raise DataError(f"{path}: column {name!r}: {exc}") from None
+                continue
+        # Codes in order of each label's first appearance.
+        index: dict[str, int] = {}
+        codes = np.zeros(len(cells), dtype=np.int64)
+        codes[present] = np.fromiter(
+            (index.setdefault(c, len(index)) for c in compress(cells, present)), np.int64
+        )
+        columns.append(Column("categorical", codes, miss, list(index)))
     return Dataset(columns, list(names))
 
 
+def _cell_text(c: Column, missing_token: str):
+    """Column c's cells as CSV text, made one at a time."""
+    show = float.__repr__ if c.kind == "numeric" else c.labels.__getitem__
+    return (missing_token if m else show(v) for v, m in zip(c.values, c.missing))
+
+
 def write_csv(ds: Dataset, path, missing_token: str = "") -> None:
-    """Write a Dataset back out; round-trips with load_csv."""
+    """Write a Dataset back out; round-trips with load_csv.  Rows are
+    zipped from per-column generators, so no table's text is held whole."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ds.names)
-        for i in range(ds.n_rows):
-            row = []
-            for c in ds.columns:
-                if c.missing[i]:
-                    row.append(missing_token)
-                elif c.kind == "numeric":
-                    row.append(repr(float(c.values[i])))
-                else:
-                    row.append(c.labels[int(c.values[i])])
-            writer.writerow(row)
+        writer.writerows(zip(*(_cell_text(c, missing_token) for c in ds.columns)))
 
 
 def load_schema_sidecar(path) -> dict:
@@ -235,27 +219,34 @@ def load_schema_sidecar(path) -> dict:
     return schema
 
 
+def row_keys(ds: Dataset) -> np.ndarray:
+    """Per row, an int64 key: per column its missing flag and, where the
+    cell is present, the bits of its value (0 where it is missing).  Two
+    rows are duplicates iff their keys are equal: numeric cells must be
+    bitwise equal (so -0.0 is not 0.0), categorical codes equal, and
+    missing cells compare equal whatever value or code they store."""
+    keys = np.zeros((ds.n_rows, 2 * ds.n_cols), dtype=np.int64)
+    for j, c in enumerate(ds.columns):
+        bits = c.values.view(np.int64) if c.kind == "numeric" else c.values
+        keys[:, 2 * j] = c.missing
+        keys[:, 2 * j + 1] = np.where(c.missing, 0, bits)
+    return keys
+
+
 def deduplicate(ds: Dataset):
-    """Collapse exact-duplicate rows (bitwise-equal cells, equal missingness).
+    """Collapse rows with equal `row_keys` (bitwise-equal cells, equal
+    missingness).
 
     Returns (deduped dataset, group_map) where group_map[i] is the index of
-    row i's representative in the deduped dataset.  Representative weight is
-    the sum of member weights, so total weight is preserved.
+    row i's representative in the deduped dataset.  Representatives are
+    each group's first row, in row order.  Representative weight is the sum
+    of member weights, so total weight is preserved.
     """
-    seen: dict[tuple, int] = {}
-    group_map = np.zeros(ds.n_rows, dtype=np.int64)
-    reps: list[int] = []
-    for i in range(ds.n_rows):
-        key = ds.row_key(i)
-        if key in seen:
-            group_map[i] = seen[key]
-        else:
-            seen[key] = len(reps)
-            group_map[i] = len(reps)
-            reps.append(i)
-    rep_idx = np.array(reps)
-    out = ds.take(rep_idx)
-    w = np.zeros(len(reps))
-    np.add.at(w, group_map, ds.weights)
-    out.weights = w
+    _, first, inverse = np.unique(row_keys(ds), axis=0, return_index=True, return_inverse=True)
+    # np.unique numbers the groups in key order; renumber them by first row.
+    order = np.argsort(first)
+    group_map = np.argsort(order)[inverse.reshape(-1)]
+    out = ds.take(first[order])
+    out.weights = np.zeros(len(order))
+    np.add.at(out.weights, group_map, ds.weights)
     return out, group_map

@@ -25,11 +25,13 @@ depths by one of two paths:
   scratch is filled: a terminal at depth d fills its block's with d + 3, a
   split at depth d the block [s, m) x [m, e) between its children with
   d + 1, so each upper cell is written once and the rest stays 0.  The
-  scratch is gathered out of leaf order into an int32 accumulator, where
-  each tree adds a pair's depth to one of the pair's two cells; the
+  scratch is gathered out of leaf order into an integer accumulator,
+  where each tree adds a pair's depth to one of the pair's two cells; the
   result adds the two.  The scratch has byte cells when the forest's
-  deepest node's depth + 3 fits in one, int32 cells otherwise.  Trees are
-  routed in batches of about ROUTE_TRIPLES triples per level.
+  deepest node's depth + 3 fits in one, int32 cells otherwise.  The
+  accumulator has int32 cells while the trees times that depth fit in
+  one, int64 cells otherwise, so no sum wraps.  Trees are routed in
+  batches of about ROUTE_TRIPLES triples per level.
 * Any other tree is summed with weights, as the sparse product
   M diag(c) M^T (the proximity product of RF-GAP, Rhodes, Cutler and Moon,
   arXiv:2201.12682): M holds the weight with which each row reaches each
@@ -40,15 +42,16 @@ depths by one of two paths:
   so that the kernel path and scoring run on numpy alone.
 
 Trees are summed one after another into one set of accumulators: an
-int32 n x n accumulator and two n x n scratch blocks of the forest's cell
-width, allocated on the first kernel tree, plus a float64 n x n
+integer n x n accumulator and two n x n scratch blocks at the forest's
+widths, allocated on the first kernel tree, plus a float64 n x n
 accumulator once a tree takes the weighted path, whose sparse product
 then holds at most one block of BLOCK_CELLS cells (or of one row) as
 sparse and dense values.  Only the n(n-1)/2 upper cells become float64,
-at the end.  Before allocating, `separation_matrix` estimates these
-arrays, the block and the float64 result (but not M); if that exceeds the
-memory available to the process it raises `FitError` naming both byte
-counts.
+at the end, where the float sums are added to the integer sums.  Before
+allocating, `separation_matrix` estimates these arrays (14 or 20 bytes
+per n x n cell with an int32 accumulator, 18 or 24 with int64), the
+block and the float64 result (but not M); if that exceeds the memory
+available to the process it raises `FitError` naming both byte counts.
 
 `anomaly_scores` descends all trees at once with weights, a block of
 about ROUTE_TRIPLES // trees rows at a time, so that its (row, node,
@@ -68,12 +71,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import depth as depth_math
-from .data import Dataset, deduplicate
+from .data import Dataset, deduplicate, row_keys
 from .forest import TERMINAL, FitError, FlatForest, Forest, descend, remap_dataset
 from .matrix import CondensedMatrix
 
-# The int32 sums move into the float64 sums before the next tree could
-# take them past this value.
+# The kernel trees' integer sums take int64 cells once all trees at their
+# deepest could take a pair's sum past this value.
 INT32_MAX = int(np.iinfo(np.int32).max)
 
 # A weighted tree's sparse product is made a block of rows of about this
@@ -129,18 +132,26 @@ def _cell_type(flat: FlatForest) -> type:
     return np.uint8 if int(flat.depth.max()) + 3 <= np.iinfo(np.uint8).max else np.int32
 
 
+def _sum_type(flat: FlatForest) -> type:
+    """The integer accumulator's cell type: int32 while every tree adding
+    its largest pair depth, its deepest node's depth + 3, cannot pass
+    INT32_MAX, int64 otherwise."""
+    n_trees = len(flat.roots) - 1
+    return np.int32 if n_trees * (int(flat.depth.max()) + 3) <= INT32_MAX else np.int64
+
+
 def _tree_sums(forest: Forest, ds: Dataset) -> np.ndarray:
     """Condensed pair depth sums of all trees over the rows of `ds`.
 
-    Trees the leaf-order kernel takes add into int32 `counts`, the others
-    into float64 `sums`; each is allocated when a tree first needs it.  A
-    kernel tree adds each pair's depth to one of its two cells of
-    `counts`, so a pair's sum there is the two cells added."""
+    Trees the leaf-order kernel takes add into integer `counts`, of
+    `_sum_type` so that no sum can wrap, the others into float64 `sums`;
+    each is allocated when a tree first needs it.  A kernel tree adds
+    each pair's depth to one of its two cells of `counts`, so a pair's sum
+    there is the two cells added."""
     flat = forest.flat
     n = ds.n_rows
     n_trees = len(flat.roots) - 1
     counts = sums = None
-    bound = 0  # the largest value a pair's two cells of `counts` can hold
     batch = max(1, ROUTE_TRIPLES // n)
     for t0 in range(0, n_trees, batch):
         trees = range(t0, min(t0 + batch, n_trees))
@@ -168,9 +179,8 @@ def _tree_sums(forest: Forest, ds: Dataset) -> np.ndarray:
             ids, s, e = ids[shared], s[shared], e[shared]
             d = flat.depth[ids]
             term = flat.kind[ids] == TERMINAL
-            top = int(np.where(term, d + 3, d + 1).max(initial=0))
             if counts is None:
-                counts = np.zeros((n, n), dtype=np.int32)
+                counts = np.zeros((n, n), dtype=_sum_type(flat))
                 leaf = np.empty((n, n), dtype=_cell_type(flat))
                 scratch = np.empty_like(leaf)
             # `leaf` takes the pair depths in leaf order, in its strict
@@ -186,14 +196,6 @@ def _tree_sums(forest: Forest, ds: Dataset) -> np.ndarray:
             for s_, m_, e_, d_ in zip(s[split].tolist(), m.tolist(), e[split].tolist(),
                                       d[split].tolist()):
                 leaf[s_:m_, m_:e_] = d_ + 1
-            if bound + top > INT32_MAX:
-                if sums is None:
-                    sums = np.zeros((n, n))
-                _fold(counts)
-                sums += counts
-                counts[:] = 0
-                bound = 0
-            bound += top
             inv = np.empty(n, dtype=np.intp)
             inv[rows[k * n : (k + 1) * n]] = np.arange(n)
             np.take(leaf, inv, axis=0, out=scratch)
@@ -211,7 +213,7 @@ def _tree_sums(forest: Forest, ds: Dataset) -> np.ndarray:
 
 
 def _fold(counts: np.ndarray) -> None:
-    """Add each cell below the diagonal of square int32 `counts` into its
+    """Add each cell below the diagonal of square integer `counts` into its
     mirror above, a row slice at a time: each pair's two cells then sum,
     exactly, in the upper one.  Only upper cells are read afterwards."""
     for i in range(len(counts) - 1):
@@ -269,9 +271,11 @@ def separation_matrix(forest: Forest, ds: Dataset, threads: int = 1) -> Condense
     Exact duplicates are collapsed before traversal and expanded back with
     intra-duplicate distance 0.  Raises FitError when the accumulators and
     the result would not fit in the memory available to the process.  The
-    estimate leaves out a weighted tree's sparse M, one entry per row and
-    node it reaches: on 600-row mixed tables with 10% missing cells that
-    was about 60 entries a row on average and up to 7,991 for one row.
+    estimate counts 14 or 20 bytes per n x n cell (byte or int32 scratch),
+    18 or 24 with an int64 accumulator.  It leaves out a weighted tree's
+    sparse M, one entry per row and node it reaches: on 600-row mixed
+    tables with 10% missing cells that was about 60 entries a row on
+    average and up to 7,991 for one row.
 
     `threads` is accepted and ignored, for backward compatibility: trees
     are summed one after another into one set of accumulators, since a
@@ -285,9 +289,10 @@ def separation_matrix(forest: Forest, ds: Dataset, threads: int = 1) -> Condense
     if rep_ds.n_rows < 2:
         return CondensedMatrix(n)  # all rows identical
     r = rep_ds.n_rows
-    # Bytes per n x n cell: the int32 accumulator, the two scratch blocks
-    # at the forest's cell width and the float64 accumulator.
-    cell = 4 + 2 * np.dtype(_cell_type(forest.flat)).itemsize + 8
+    # Bytes per n x n cell: the integer accumulator and the two scratch
+    # blocks at the forest's widths, and the float64 accumulator.
+    flat = forest.flat
+    cell = np.dtype(_sum_type(flat)).itemsize + 2 * np.dtype(_cell_type(flat)).itemsize + 8
     need = cell * r * r + BLOCK_CELL_BYTES * _block_rows(r) * r + 8 * (n * (n - 1) // 2)
     available = _available_bytes()
     if available is not None and need > available:
@@ -310,7 +315,8 @@ def pair_distance(forest: Forest, ds: Dataset, i: int, j: int) -> float:
     triples per node of the forest, so the memory is bounded by the
     forest's size, whatever the size of `ds`."""
     sub = remap_dataset(forest, ds.take([i, j]))
-    if sub.row_key(0) == sub.row_key(1):
+    keys = row_keys(sub)
+    if (keys[0] == keys[1]).all():
         return 0.0
     flat = forest.flat
     n_trees = len(flat.roots) - 1

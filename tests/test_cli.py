@@ -170,6 +170,18 @@ def test_schema_mismatch_is_runtime_error(small_csv, tmp_path, capsys):
     assert "error:" in stderr
 
 
+def test_schema_sidecar_key_naming_no_column_is_runtime_error(small_csv, tmp_path, capsys):
+    sidecar = tmp_path / "schema.json"
+    sidecar.write_text('{"colour": "categorical"}')
+    code, _, stderr = run(
+        ["fit", "--input", small_csv, "--schema", str(sidecar), "--trees", "3",
+         "--output", str(tmp_path / "model.json")],
+        capsys,
+    )
+    assert code == 1
+    assert "schema key 'colour' names no column" in stderr
+
+
 def run_with_corrupt_model(small_csv, tmp_path, corrupt):
     """`python -m isodist dist` with a model fitted on `small_csv` and
     then passed through `corrupt` (which edits its arrays and header)."""

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from isodist.data import (
     deduplicate,
     load_csv,
     load_schema_sidecar,
+    row_keys,
     write_csv,
 )
 
@@ -119,6 +122,34 @@ def test_schema_sidecar(tmp_path):
         load_schema_sidecar(bad)
 
 
+@pytest.mark.parametrize("schema", [{"b": "numeric"}, {2: "categorical"}, {"0": "numeric"}])
+def test_schema_key_must_name_a_column(tmp_path, schema):
+    path = make_csv(tmp_path, "a,c\n1,2\n3,4\n")
+    key = next(iter(schema))
+    with pytest.raises(DataError, match=f"schema key {key!r} names no column"):
+        load_csv(path, schema=schema)
+
+
+def test_schema_keys_name_columns_by_name_or_index(tmp_path):
+    def kinds(ds):
+        return [c.kind for c in ds.columns]
+
+    path = make_csv(tmp_path, "a,c\n1,2\n3,4\n")
+    assert kinds(load_csv(path, schema={"a": "categorical"})) == ["categorical", "numeric"]
+    assert kinds(load_csv(path, schema={1: "categorical"})) == ["numeric", "categorical"]
+    path = make_csv(tmp_path, "1,2\n3,4\n", name="bare.csv")
+    assert kinds(load_csv(path, schema={"col1": "categorical"}, has_header=False)) == [
+        "numeric", "categorical"]
+
+
+def test_forced_numeric_column_names_the_cell_it_cannot_parse(tmp_path):
+    path = make_csv(tmp_path, "a,b\n1,x\nNA,y\nten,z\n4,w\n")
+    with pytest.raises(DataError, match="row 2, column 'a': cannot parse 'ten' as numeric"):
+        load_csv(path, schema={"a": "numeric"})
+    with pytest.raises(DataError, match="row 0, column 'b': cannot parse 'x' as numeric"):
+        load_csv(path, schema={1: "numeric"})
+
+
 def _two_col_dataset(values, missing):
     cols = [
         Column("numeric", np.array(v, dtype=float), np.array(m))
@@ -158,6 +189,83 @@ def test_deduplicate_preserves_total_weight():
     ds.weights = rng.random(50) + 0.5
     out, _ = deduplicate(ds)
     assert out.weights.sum() == pytest.approx(ds.weights.sum(), abs=1e-12)
+
+
+def test_deduplicate_keeps_first_occurrence_order():
+    ds = _two_col_dataset([[2.0, 1.0, 2.0, 1.0]], [[False] * 4])
+    out, gmap = deduplicate(ds)
+    assert gmap.tolist() == [0, 1, 0, 1]
+    assert out.columns[0].values.tolist() == [2.0, 1.0]
+    assert out.weights.tolist() == [2.0, 2.0]
+
+
+def test_deduplicate_keeps_negative_zero_apart():
+    ds = _two_col_dataset([[0.0, -0.0, 0.0]], [[False] * 3])
+    out, gmap = deduplicate(ds)
+    assert gmap.tolist() == [0, 1, 0]
+    assert np.signbit(out.columns[0].values).tolist() == [False, True]
+
+
+def test_deduplicate_merges_missing_categorical_cells_whatever_their_code():
+    codes = np.array([0, 1, 0, 1])
+    miss = np.array([True, True, False, False])
+    ds = Dataset([Column("categorical", codes, miss, ["p", "q"])])
+    out, gmap = deduplicate(ds)
+    assert gmap.tolist() == [0, 0, 1, 2]
+    assert out.weights.tolist() == [2.0, 1.0, 1.0]
+    keys = row_keys(ds)
+    assert keys.dtype == np.int64 and keys.shape == (4, 2)
+    assert np.array_equal(keys[0], keys[1])
+
+
+def data_table(case):
+    """The tables whose data-layer outputs are pinned below."""
+    if case == "t4 repeated":
+        # 1,000 rows: 950 drawn, 50 of them again, shuffled together.
+        rng = np.random.default_rng(3)
+        ds = generate_scenario("t4", 950, rng)["dataset"]
+        return ds.take(rng.permutation(np.concatenate([np.arange(950), rng.choice(950, 50)])))
+    name, n = case.split()
+    return generate_scenario(name, int(n), np.random.default_rng(5))["dataset"]
+
+
+# For each table, the sha256 of the bytes `write_csv` writes, and of what
+# `deduplicate(load_csv(...))` makes of them (each column's kind, labels,
+# values and missing mask, then the group map and the weights).  Pinned
+# when the data layer looped over cells, so that reading, writing and
+# collapsing tables keep giving the same bytes.
+DATA_DIGESTS = {
+    "t4 repeated": (
+        "cc594accdad6afbe80b89fd1aa032f495e8796a5cedd82e694127298bb9c8099",
+        "e146146ab9f9f9680b57ed1c6144bbc7b48c4efc0526981d115126cf149e6038",
+    ),
+    "mixed 600": (
+        "13b74361fa473ba7424f1e25f2401bc5ae8c99b95e10a1167cfce092abf98593",
+        "b1f703a185fc42113e49c0913ceaaea99adf43e4fbede5c57b793a13711a2651",
+    ),
+    "mixed 20000": (
+        "e9b68798d805906c1d95a537a63224b4bac86990b08429cafa6a760109679776",
+        "52962f4622e62f30b1bfa47f7d522295d7001f43a8a4f379078cb8e29fa2df2b",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DATA_DIGESTS))
+def test_data_layer_keeps_its_digests(tmp_path, case):
+    path = tmp_path / "table.csv"
+    write_csv(data_table(case), path)
+    text = hashlib.sha256(path.read_bytes()).hexdigest()
+    out, gmap = deduplicate(load_csv(path))
+    h = hashlib.sha256()
+    for c in out.columns:
+        h.update(f"{c.kind}{c.labels}".encode())
+        h.update(c.values.tobytes())
+        h.update(c.missing.tobytes())
+    h.update(gmap.tobytes())
+    h.update(out.weights.tobytes())
+    assert (text, h.hexdigest()) == DATA_DIGESTS[case]
+    if case == "t4 repeated":
+        assert out.n_rows < 1000 and out.weights.max() >= 2
 
 
 def test_weights_must_be_positive():

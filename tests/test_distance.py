@@ -264,6 +264,16 @@ def test_memory_guard_refuses_before_allocating(monkeypatch, cloud, cloud_forest
         separation_matrix(cloud_forest, cloud, threads=2)
 
 
+def test_memory_guard_counts_int64_sums(monkeypatch, cloud, cloud_forest):
+    monkeypatch.setattr(distance, "_available_bytes", lambda: 1000)
+    # With the cap at 10 the integer sums need int64 cells: 8 + 1 + 1 + 8 =
+    # 18 bytes x 120^2 cells, + 20 x 120^2 for the block + 8 x 7140.
+    monkeypatch.setattr(distance, "INT32_MAX", 10)
+    assert distance._sum_type(cloud_forest.flat) is np.int64
+    with pytest.raises(FitError, match="needs about 604320 bytes, but 1000 bytes"):
+        separation_matrix(cloud_forest, cloud)
+
+
 def test_missing_rows_traverse_both_branches(cloud_forest):
     # A prediction row missing every column still gets a finite distance.
     vals = np.array([0.0, 1.0])

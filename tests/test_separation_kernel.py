@@ -252,9 +252,8 @@ DIGEST_CASES = {
 }
 
 # The sha256 of `separation_matrix(...).values.tobytes()` for each case,
-# and for "t4 missing cells" with INT32_MAX at 10, pinned when the kernel
-# filled both triangles of int32 cells: distances must not drift while
-# the forests are unchanged.
+# pinned when the kernel filled both triangles of int32 cells: distances
+# must not drift while the forests are unchanged.
 MATRIX_DIGESTS = {
     "t4 complete":
         "480ac119fd6f1c45e0c79eaa97e274f972f8c68e0cc1a7ef7aa8fd06b555c5b3",
@@ -268,8 +267,6 @@ MATRIX_DIGESTS = {
         "943c0c43b114b462fc754997ea0eab1301bf5c4765411b76ed9e87c547796c5a",
     "geometric":
         "34348068db57e966190b5e5b4f2447465079786a9b231d416acc56ae8bd262e6",
-    "t4 missing cells, moved at 10":
-        "53115ca1d34ef802235bff2c35068dc0673d95778ccb23cbb123df51b1c2cd19",
 }
 
 
@@ -295,13 +292,13 @@ def test_int32_sums_move_to_float_between_kernel_and_weighted_trees(monkeypatch)
     forest = fit_forest(ds, params)
     want = separation_matrix(forest, ds).values
     # Kernel trees 1, 5 and 6 add at most 4 + 3 to a pair, so a cap of 10
-    # moves the int32 sums into the float64 sums, which by then hold
-    # weighted trees, before trees 5 and 6.  That adds integers among the
-    # weighted trees' float sums in another order, so cells agree to float
-    # rounding, and the digest pins the order.
+    # gives the integer sums int64 cells.  They are still added to the
+    # weighted trees' float sums once, at the end, so the result is the
+    # same to the bit.
+    assert distance._sum_type(forest.flat) is np.int32
     monkeypatch.setattr(distance, "INT32_MAX", 10)
-    assert np.allclose(separation_matrix(forest, ds).values, want, rtol=0.0, atol=1e-12)
-    assert matrix_digest(forest, ds) == MATRIX_DIGESTS["t4 missing cells, moved at 10"]
+    assert distance._sum_type(forest.flat) is np.int64
+    assert np.array_equal(separation_matrix(forest, ds).values, want)
 
 
 def test_int32_sums_move_to_float_before_they_could_wrap(monkeypatch):
@@ -309,8 +306,8 @@ def test_int32_sums_move_to_float_before_they_could_wrap(monkeypatch):
     ds = Dataset([Column("numeric", rng.standard_normal(60), np.zeros(60, dtype=bool))])
     forest = fit_forest(ds, ForestParams(n_trees=12, seed=1))
     want = separation_matrix(forest, ds).values
-    # A cap below two trees' depths moves the int32 sums into the float64
-    # sums every tree or two.
+    # A cap below two trees' depths gives the integer sums int64 cells.
     monkeypatch.setattr(distance, "INT32_MAX", 20)
+    assert distance._sum_type(forest.flat) is np.int64
     assert np.array_equal(separation_matrix(forest, ds).values, want)
     assert np.array_equal(separation_matrix(forest, ds, threads=2).values, want)
