@@ -200,7 +200,13 @@ def _cell_text(c: Column, missing_token: str):
 
 def write_csv(ds: Dataset, path, missing_token: str = "") -> None:
     """Write a Dataset back out; round-trips with load_csv.  Rows are
-    zipped from per-column generators, so no table's text is held whole."""
+    zipped from per-column generators, so no table's text is held whole.
+    A present categorical cell holding UNSEEN_CODE has no label to write
+    and raises DataError naming its column, before the file is opened."""
+    for name, c in zip(ds.names, ds.columns):
+        if c.kind == "categorical" and (c.values[~c.missing] == UNSEEN_CODE).any():
+            raise DataError(f"column {name!r} holds a label the model never saw (code "
+                            f"{UNSEEN_CODE}), which has no text to write")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ds.names)

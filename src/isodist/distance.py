@@ -53,11 +53,13 @@ per n x n cell with an int32 accumulator, 18 or 24 with int64), the
 block and the float64 result (but not M); if that exceeds the memory
 available to the process it raises `FitError` naming both byte counts.
 
-`anomaly_scores` descends all trees at once with weights, a block of
-about ROUTE_TRIPLES // trees rows at a time, so that its (row, node,
-weight) triples do not grow with the table, and adds each terminal's
-w * h, h its isolation depth, to its row in tree order and then
-pre-order, as a tree-by-tree walk would.
+`anomaly_scores` descends all trees at once, a block of about
+ROUTE_TRIPLES // trees rows at a time, so that its (row, node, weight)
+triples do not grow with the table: with weights for a single-variable
+forest, unweighted for an extended one, where every weight would be 1.
+It sums each terminal's w * h, h its isolation depth, into its row from
+0.0 with `np.bincount`, in tree order and then pre-order, as a
+tree-by-tree walk would.
 
 Depth sums are averaged over trees and squashed through
 2^(-(avg-1)/2), giving distances in (0, 1] with 0.5 the expected value
@@ -338,14 +340,19 @@ def anomaly_scores(forest: Forest, ds: Dataset) -> np.ndarray:
     ds = remap_dataset(forest, ds)
     flat = forest.flat
     n_trees = len(flat.roots) - 1
+    # A hyperplane places every row, so an extended forest descends
+    # unweighted: the same terminals, each with weight 1.
+    weighted = forest.params.model_kind == "single"
     depths = np.zeros(ds.n_rows)
     step = max(1, ROUTE_TRIPLES // n_trees)
     for a in range(0, ds.n_rows, step):
         block = ds.take(np.arange(a, min(a + step, ds.n_rows)))
-        rows, nodes, w = descend(flat, block, range(n_trees), True)
-        # Each row adds its terminals' w * h in node order, which is tree
-        # order, then pre-order within a tree.
+        rows, nodes, w = descend(flat, block, range(n_trees), weighted)
+        # Each row adds its terminals' w * h from 0.0 in node order, which
+        # is tree order, then pre-order within a tree.
         order = np.argsort(nodes, kind="stable")
-        np.add.at(depths, a + rows[order], w[order] * flat.value[nodes[order]])
+        h = flat.value[nodes[order]]
+        depths[a : a + block.n_rows] = np.bincount(
+            rows[order], h if w is None else w[order] * h, minlength=block.n_rows)
     avg = depths / n_trees
     return depth_math.standardize_isolation(avg, max(2, forest.n_sub))

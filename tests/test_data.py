@@ -288,6 +288,19 @@ def test_unreadable_csv_is_data_error(tmp_path, data, what):
     assert str(path) in str(info.value)
 
 
+def test_write_csv_refuses_unseen_labels(tmp_path):
+    # Code -1 marks a label a model never saw; it has no text, and labels[-1]
+    # would write the column's last label in its place.
+    path = tmp_path / "out.csv"
+    ds = Dataset([Column("categorical", [-1, 0], [False, False], ["a", "b"])], ["c"])
+    with pytest.raises(DataError, match="column 'c'"):
+        write_csv(ds, path)
+    assert not path.exists()
+    # A missing cell's code is never read.
+    write_csv(Dataset([Column("categorical", [-1, 0], [True, False], ["a", "b"])], ["c"]), path)
+    assert path.read_text().splitlines() == ["c", '""', "a"]
+
+
 @pytest.fixture(scope="module")
 def mixed_csv(tmp_path_factory):
     """The bytes of a 30-row mixed CSV with missing cells, and a path to

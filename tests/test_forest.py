@@ -345,6 +345,92 @@ def test_extended_constant_rows_terminate():
         fit_forest(ds, ForestParams(n_trees=2, model_kind="extended", ndim=2))
 
 
+def csr_project(flat, X, miss, rows, h):
+    """Hyperplane projections read from the CSR terms, as scoring computed
+    them before the padded table: at each term position, the hyperplanes
+    that still have a term are selected and their terms added, numeric
+    terms first, then categorical ones."""
+    y = np.zeros(len(rows))
+    X_flat, miss_flat, coef_flat = X.ravel(), miss.ravel(), flat.cat_coef.ravel()
+    row_at = rows * X.shape[1]
+    width = flat.cat_coef.shape[1]
+    for ptr, tvar, numeric in ((flat.num_ptr, flat.num_var, True),
+                               (flat.cat_ptr, flat.cat_var, False)):
+        start = ptr[h]
+        count = ptr[h + 1] - start
+        for t in range(int(count.max(initial=0))):
+            sel = np.flatnonzero(count > t)
+            j = start[sel] + t
+            at = row_at[sel] + tvar[j]
+            known, vals = ~miss_flat[at], X_flat[at]
+            if numeric:
+                y[sel] += np.where(known, flat.num_coef[j] * vals, flat.num_impute[j])
+                continue
+            codes = vals.astype(np.intp)
+            ok = known & (codes >= 0) & (codes < width)
+            picked = coef_flat[j * width + np.where(ok, codes, 0)]
+            y[sel] += np.where(ok & ~np.isnan(picked), picked, flat.cat_impute[j])
+    return y
+
+
+def test_padded_projection_matches_the_csr_terms():
+    # Column 0 is numeric, and absent categorical slots read it as codes:
+    # its cells cast to codes below 0 and at or past the table width.
+    # Column 1 holds an unseen code (-1) and a missing cell; each
+    # categorical term has a NaN coefficient.
+    ds = Dataset([
+        Column("numeric", [-3.7, 5.5, 1e300, 0.0, 2.0, -0.5], [False, False, False, False, True, False]),
+        Column("categorical", [0, 1, 2, -1, 1, 0], [False, False, False, False, False, True],
+               ["a", "b", "c"]),
+        Column("categorical", [1, 0, 0, 1, 1, 0], [False] * 6, ["u", "v"]),
+        Column("numeric", [0.5, -2.0, 7.25, 1.0, -1e-3, 3.0], [False, True] + [False] * 4),
+    ])
+    nan = np.nan
+
+    def split(*terms):
+        return HyperplaneSplit(*terms, 0.0, Terminal(1.0), Terminal(1.0))
+
+    trees = [
+        # numeric terms only
+        split([0, 3], [0.75, -1.5], [0.1, 0.2], [], [], []),
+        # categorical terms only
+        split([], [], [], [1, 2], [np.array([0.5, nan, -1.0]), np.array([nan, 2.0])],
+              [0.25, -0.125]),
+        # both kinds
+        split([3], [2.0], [-0.3], [1], [np.array([1.5, -0.5, nan])], [0.0625]),
+        split([0], [1e-3], [4.0], [2], [np.array([-2.0, 3.0])], [0.5]),
+    ]
+    flat = compile_trees(trees)
+    assert flat.pad_num_var.shape == (4, 2) and flat.pad_cat_var.shape == (4, 2)
+    X, miss = forest_mod._cells(ds)
+    codes = forest_mod._codes(X, miss, flat.cat_coef.shape[1])
+    rows = np.repeat(np.arange(ds.n_rows), len(trees))
+    h = np.tile(np.arange(len(trees)), ds.n_rows)
+    got = forest_mod._project(flat, X, miss, codes, rows, h)
+    want = csr_project(flat, X, miss, rows, h)
+    assert np.isfinite(want).all()
+    assert (got == want).all()
+
+
+def test_extended_forest_descends_unweighted_to_the_weighted_terminals():
+    # A hyperplane places every row, missing cells and unseen labels too.
+    ds = generate_scenario("mixed", 150, np.random.default_rng(8))["dataset"]
+    forest = fit_forest(ds, ForestParams(n_trees=5, seed=6, model_kind="extended", ndim=3))
+    fresh = generate_scenario("mixed", 80, np.random.default_rng(9))["dataset"]
+    unseen = fresh.columns[2]
+    fresh.columns[2] = Column("categorical", np.where(np.arange(80) % 4 == 0, 3, unseen.values),
+                              unseen.missing, unseen.labels + ["new"])
+    ds = remap_dataset(forest, fresh)
+    assert (ds.columns[2].values == -1).any() and any(c.missing.any() for c in ds.columns)
+    rows, nodes, w = descend(forest.flat, ds, range(5), True)
+    assert (w == 1.0).all()
+    got_rows, got_nodes, none = descend(forest.flat, ds, range(5), False)
+    assert none is None
+    assert sorted(zip(got_rows.tolist(), got_nodes.tolist())) == sorted(
+        zip(rows.tolist(), nodes.tolist()))
+    assert (forest.flat.kind[got_nodes] == TERMINAL).all()
+
+
 def test_save_load_round_trip(tmp_path, normal_ds):
     forest = fit_forest(normal_ds, ForestParams(n_trees=6, seed=13))
     path = tmp_path / "model.json"

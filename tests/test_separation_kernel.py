@@ -21,7 +21,9 @@ from isodist.forest import (
     ForestParams,
     Terminal,
     fit_forest,
+    load_model,
     remap_dataset,
+    save_model,
 )
 from isodist.matrix import CondensedMatrix
 
@@ -311,3 +313,79 @@ def test_int32_sums_move_to_float_before_they_could_wrap(monkeypatch):
     assert distance._sum_type(forest.flat) is np.int64
     assert np.array_equal(separation_matrix(forest, ds).values, want)
     assert np.array_equal(separation_matrix(forest, ds, threads=2).values, want)
+
+
+def with_unseen_labels(ds, every=7):
+    """`ds` with every `every`-th present cell of each categorical column
+    relabelled to a label no model has seen."""
+    cols = []
+    for c in ds.columns:
+        if c.kind == "categorical":
+            hit = ~c.missing & (np.arange(ds.n_rows) % every == 0)
+            c = Column("categorical", np.where(hit, len(c.labels), c.values), c.missing,
+                       c.labels + ["unseen"])
+        cols.append(c)
+    return Dataset(cols, list(ds.names))
+
+
+def mixed_batch(seed, rows):
+    """A fresh batch of scenario mixed with unseen labels."""
+    return with_unseen_labels(generate_scenario("mixed", rows, np.random.default_rng(seed))["dataset"])
+
+
+def serving_table():
+    """The score-serving shape's table: 20,000 rows of scenario mixed."""
+    return generate_scenario("mixed", 20_000, np.random.default_rng(5))["dataset"]
+
+
+# Fixed-seed scoring cases: (fit table, forest parameters, table scored,
+# whether the forest is saved and reloaded first).
+SCORE_CASES = {
+    "t4 complete": (t4_table, ForestParams(n_trees=6, seed=2, subsample=16), t4_table, False),
+    "t4 missing cells": (lambda: t4_table(3), ForestParams(n_trees=8, seed=2, max_depth=4),
+                         lambda: t4_table(3), False),
+    "mixed extended ndim 2": (mixed_table, ForestParams(n_trees=6, seed=2, model_kind="extended",
+                                                        ndim=2), mixed_table, False),
+    "mixed extended ndim 3": (mixed_table, ForestParams(n_trees=6, seed=2, model_kind="extended",
+                                                        ndim=3, subsample=64), mixed_table, False),
+    "reloaded extended, unseen labels": (
+        mixed_table, ForestParams(n_trees=6, seed=3, model_kind="extended", ndim=2),
+        lambda: mixed_batch(12, 60), True),
+    "score-serving shape": (
+        serving_table, ForestParams(n_trees=50, subsample=256, ndim=2, seed=5,
+                                    model_kind="extended"),
+        lambda: mixed_batch(6, 256), True),
+}
+
+# The sha256 of `anomaly_scores(...).tobytes()` for each case, pinned when
+# scoring read the hyperplanes' terms from their CSR arrays and descended
+# extended forests with weights: scores must not drift while the forests
+# are unchanged.
+SCORE_DIGESTS = {
+    "t4 complete":
+        "63ca7afeb86ddf7b0362d9e8bc8422c67afc9648a749685c32f1369221234a79",
+    "t4 missing cells":
+        "a6865bf13e1682229b1eda4e7b4d59dfd9948d8d450c60cf3da5f7b0d96d2284",
+    "mixed extended ndim 2":
+        "9b5c83b600c3028ed24e6bbef2caae4fd80a0fcdf0d78c77705f65950cccbea4",
+    "mixed extended ndim 3":
+        "f4f97d5fcb176b395e2277e3285170d75b3547c434612d1d8b13d5b9967b163c",
+    "reloaded extended, unseen labels":
+        "fb5ba335f08360911a80b60fba8e1553f04b2f6aba1218ad01c0a44f44820bbc",
+    "score-serving shape":
+        "3eb1dafc2652564ccf2127b7e982fe571d38723138c6321670dcdfcd57ffd2c3",
+}
+
+
+def score_digest(case, tmp_path):
+    fit_table, params, table, reload = SCORE_CASES[case]
+    forest = fit_forest(fit_table(), params)
+    if reload:
+        save_model(forest, tmp_path / "model.npz")
+        forest = load_model(tmp_path / "model.npz")
+    return hashlib.sha256(anomaly_scores(forest, table()).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", list(SCORE_CASES))
+def test_fixed_seed_scores_keep_their_digest(tmp_path, case):
+    assert score_digest(case, tmp_path) == SCORE_DIGESTS[case]
