@@ -50,8 +50,10 @@ sparse and dense values.  Only the n(n-1)/2 upper cells become float64,
 at the end, where the float sums are added to the integer sums.  Before
 allocating, `separation_matrix` estimates these arrays (14 or 20 bytes
 per n x n cell with an int32 accumulator, 18 or 24 with int64), the
-block and the float64 result (but not M); if that exceeds the memory
-available to the process it raises `FitError` naming both byte counts.
+block and the float64 result; if that exceeds the memory available to
+the process it raises `FitError` naming both byte counts.  A weighted
+tree's sparse M is checked the same way once the tree is routed, before
+M is built (24 bytes an entry, for M and its transpose).
 
 `anomaly_scores` descends all trees at once, a block of about
 ROUTE_TRIPLES // trees rows at a time, so that its (row, node, weight)
@@ -102,7 +104,10 @@ def _add_weighted(flat: FlatForest, t: int, ds: Dataset, D) -> None:
     descent's triples are the entries of M, one per (row, node the row
     reaches) in this one tree, and the product needs M whole.  On 600-row
     mixed tables with 10% missing cells that is about 60 entries a row on
-    average, against the n cells a row of D."""
+    average, against the n cells a row of D; at 50% missing cells it can
+    pass 10,000 a row.  So before M is built, its bytes and those of its
+    transpose are compared with the memory available to the process,
+    and FitError names both counts when they do not fit."""
     from scipy import sparse
 
     rows, nodes, w = descend(flat, ds, range(t, t + 1), True, every_node=True)
@@ -112,6 +117,14 @@ def _add_weighted(flat: FlatForest, t: int, ds: Dataset, D) -> None:
     c[np.bincount(local, minlength=size) < 2] = 0.0
     keep = c[local] > 0
     rows, local, w = rows[keep], local[keep], w[keep]
+    # Per entry, 8 bytes of value and 4 of column index, in M and in M^T.
+    need = 2 * (8 + 4) * len(rows)
+    available = _available_bytes()
+    if available is not None and need > available:
+        raise FitError(
+            f"tree {t}'s weight matrix of {len(rows)} entries needs about {need} bytes, "
+            f"but {available} bytes are available"
+        )
     # Columns in node order within each row, so each cell sums its nodes
     # root first.
     m = sparse.csr_matrix((w, (rows, local)), shape=(ds.n_rows, size))
@@ -274,10 +287,10 @@ def separation_matrix(forest: Forest, ds: Dataset, threads: int = 1) -> Condense
     intra-duplicate distance 0.  Raises FitError when the accumulators and
     the result would not fit in the memory available to the process.  The
     estimate counts 14 or 20 bytes per n x n cell (byte or int32 scratch),
-    18 or 24 with an int64 accumulator.  It leaves out a weighted tree's
-    sparse M, one entry per row and node it reaches: on 600-row mixed
-    tables with 10% missing cells that was about 60 entries a row on
-    average and up to 7,991 for one row.
+    18 or 24 with an int64 accumulator.  A weighted tree's sparse M, one
+    entry per row and node it reaches, is only known once the tree is
+    routed: `_add_weighted` checks each tree's M against the memory then
+    available and raises FitError the same way.
 
     `threads` is accepted and ignored, for backward compatibility: trees
     are summed one after another into one set of accumulators, since a

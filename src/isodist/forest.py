@@ -22,19 +22,21 @@ rows (with the both-branch copies and their weights) stay sorted by the
 node they reach, so eligible columns, ranges, weight sums and hyperplane
 medians are segment reductions over all of the level's nodes at once.
 Each level draws its random numbers in blocks: uniform keys choosing each
-node's columns, then hyperplane coefficients, thresholds or category
-coins, and again only for the draws that failed.  At each such draw every
-tree takes its own entries from its own stream, in the order it would
-draw alone, so a tree is the same however many grow beside it.  Each
+node's columns, drawn once in `_grow` for either split kind, then
+hyperplane coefficients, thresholds or category coins, and again only for
+the draws that failed.  At each such draw every tree takes its own
+entries from its own stream, in the order it would draw alone, so a tree
+is the same however many grow beside it.  Each
 level's splits are kept as arrays; when the batch is done, `_preorder`
 numbers its nodes in pre-order.
 
 The fit's output is the forest's flat pre-order arrays (`FlatForest`,
 `Forest.flat`), which everything else reads: `descend` moves (row, node,
 weight) triples down all trees one depth level at a time, by the fit's
-rules: numeric threshold, categorical subset, both branches with weights
-b and 1 - b for a row a single-variable split cannot place, the
-WEIGHT_FLOOR drop, and the hyperplane projection with stored imputations.
+rules: numeric threshold, categorical subset, the hyperplane projection
+with stored imputations, and the one both-branch step the fit takes too
+(`_branch`: weights b and 1 - b for a row a single-variable split cannot
+place, and the drop of copies below the weight floor).
 
 The model file is the FlatForest's stored arrays (STORED) in an .npz
 archive with a JSON header; `load_model` validates them with whole-array
@@ -273,21 +275,41 @@ def _segment_medians(seg, vals, n_seg):
     return med
 
 
-def _split_single(X, miss, n_labels, rows, seg, starts, owner, rngs):
+def _branch(rows, w, left, right, to_left, to_right, b):
+    """Rows one level down, by the rule fitting and `descend` share:
+    returns (rows, child, w).  A row in `left` goes to its `to_left`
+    child, one in `right` to its `to_right` child.  A row in neither goes
+    down both with weights b*w and (1 - b)*w, and a copy below
+    WEIGHT_FLOOR is dropped; unweighted (w None), it is left out.  The
+    placed rows come first, then the left copies, then the right ones."""
+    placed = left | right
+    child = np.where(left, to_left, to_right)
+    if placed.all():
+        return rows, child, w
+    one = np.flatnonzero(placed)
+    if w is None:
+        return rows[one], child[one], None
+    both = np.flatnonzero(~placed)
+    rows = np.concatenate([rows[one], rows[both], rows[both]])
+    child = np.concatenate([child[one], to_left[both], to_right[both]])
+    w = np.concatenate([w[one], b[both] * w[both], (1.0 - b[both]) * w[both]])
+    keep = w >= WEIGHT_FLOOR
+    if not keep.all():
+        rows, child, w = rows[keep], child[keep], w[keep]
+    return rows, child, w
+
+
+def _split_single(X, miss, n_labels, rows, seg, lo, hi, keys, owner, rngs):
     """Draw a single-variable split for each segment of rows, segment s
-    from the stream of tree owner[s].  Returns (ok, split, left, right):
-    ok marks the segments that got a split, `split` holds the stored
-    fields of those splits by name (see STORED), and left/right mark the
-    rows each sends that way; a row in neither goes down both branches."""
-    n_seg, n_cols = len(starts), X.shape[1]
-    lo, hi = _ranges(X[rows], ~miss[rows], starts)
-    eligible = lo < hi
-    # The first eligible column in a uniform order is uniform over them.
-    keys = _draw(rngs, np.repeat(owner, n_cols)).reshape(eligible.shape)
-    keys[~eligible] = 2.0
+    from the stream of tree owner[s], on its column with the least key
+    (lo, hi, keys: see `_grow`).  Returns (ok, split, left, right): ok
+    marks the segments that got a split, `split` holds the stored fields
+    of those splits by name (see STORED), and left/right mark the rows
+    each sends that way; a row in neither goes down both branches."""
+    n_seg, n_cols = len(lo), X.shape[1]
     var = np.argmin(keys, axis=1)
     s = np.arange(n_seg)
-    ok = eligible[s, var]
+    ok = lo[s, var] < hi[s, var]
     cat = n_labels[var] > 0
     thr = np.full(n_seg, np.nan)
     num = np.flatnonzero(ok & ~cat)
@@ -319,19 +341,14 @@ def _split_single(X, miss, n_labels, rows, seg, starts, owner, rngs):
     return ok, split, left, known & ~left
 
 
-def _split_hyperplane(X, miss, n_labels, rows, seg, starts, owner, rngs, ndim):
-    """Draw a hyperplane split for each segment of rows, over up to `ndim`
-    of its eligible columns, segment s from the stream of tree owner[s].
-    Returns (ok, split, left, right) as `_split_single` does; every row
-    goes one way."""
+def _split_hyperplane(X, miss, n_labels, rows, seg, starts, lo, hi, keys, owner, rngs, ndim):
+    """Draw a hyperplane split for each segment of rows, over its first
+    `ndim` eligible columns by `keys`, segment s from the stream of tree
+    owner[s]; segment s holds the rows from starts[s].  Returns (ok,
+    split, left, right) as `_split_single` does; every row goes one way."""
     n_seg, n_cols = len(starts), X.shape[1]
-    lo, hi = _ranges(X[rows], ~miss[rows], starts)
-    eligible = lo < hi
-    # The k smallest of uniform keys: k columns uniform among the eligible.
-    keys = _draw(rngs, np.repeat(owner, n_cols)).reshape(eligible.shape)
-    keys[~eligible] = 2.0
     pick = np.argsort(keys, axis=1)[:, :ndim]
-    n_terms = np.minimum(ndim, eligible.sum(axis=1))
+    n_terms = np.minimum(ndim, np.count_nonzero(lo < hi, axis=1))
     used = np.arange(pick.shape[1]) < n_terms[:, None]
     # A segment's terms: numeric columns first, then categorical ones,
     # each kind in column order; 2 * n_cols past its last term.
@@ -413,8 +430,8 @@ def _grow(X, miss, n_labels, idxs, rngs, params: ForestParams):
     its rows are kept sorted by the node they reach: a single-variable
     model carries each row's weight and sends a row its split cannot place
     down both branches with weights b*w and (1 - b)*w, b the weight share
-    of the split's placed rows sent left, dropping copies below
-    WEIGHT_FLOOR.  Each level draws the splits of all its nodes that hold
+    of the split's placed rows sent left (`_branch`, the step `descend`
+    takes too).  Each level draws the splits of all its nodes that hold
     >= 2 rows at once, each tree from its own stream in the order it would
     draw alone; a node that gets none is a terminal.  The level's j-th
     split has children 2j and 2j + 1 on the next level, so every tree's
@@ -446,36 +463,34 @@ def _grow(X, miss, n_labels, idxs, rngs, params: ForestParams):
         seg = (np.cumsum(cand) - 1)[node]
         starts = np.cumsum(count[cand]) - count[cand]
         owner = tree[cand]
+        lo, hi = _ranges(X[rows], ~miss[rows], starts)
+        # Uniform keys, 2.0 at the columns that cannot split: the first
+        # eligible columns in a uniform order are uniform among them.
+        keys = _draw(rngs, np.repeat(owner, X.shape[1])).reshape(lo.shape)
+        keys[lo >= hi] = 2.0
         if weighted:
             ok, split, left, right = _split_single(
-                X, miss, n_labels, rows, seg, starts, owner, rngs
+                X, miss, n_labels, rows, seg, lo, hi, keys, owner, rngs
             )
         else:
             ok, split, left, right = _split_hyperplane(
-                X, miss, n_labels, rows, seg, starts, owner, rngs, params.ndim
+                X, miss, n_labels, rows, seg, starts, lo, hi, keys, owner, rngs, params.ndim
             )
         splits.append(np.flatnonzero(cand)[ok])
-        rank = np.cumsum(ok) - 1
-        kid = 2 * rank[seg] + right
-        one = ok[seg] & (left | right)
-        if w is None:
-            rows, kid, w_kid = rows[one], kid[one], None
-        else:
+        on = np.flatnonzero(ok[seg])
+        rank = (np.cumsum(ok) - 1)[seg[on]]
+        b = None
+        if weighted:
             wl = np.bincount(seg[left], weights=w[left], minlength=len(ok))[ok]
             wr = np.bincount(seg[right], weights=w[right], minlength=len(ok))[ok]
-            b = split["left_fraction"] = wl / (wl + wr)
-            both = np.flatnonzero(ok[seg] & ~(left | right))
-            bb = b[rank[seg[both]]]
-            rows = np.concatenate([rows[one], rows[both], rows[both]])
-            kid = np.concatenate([kid[one], kid[both], kid[both] + 1])
-            w_kid = np.concatenate([w[one], bb * w[both], (1.0 - bb) * w[both]])
-            kept = w_kid >= WEIGHT_FLOOR
-            rows, kid, w_kid = rows[kept], kid[kept], w_kid[kept]
+            split["left_fraction"] = wl / (wl + wr)
+            w, b = w[on], split["left_fraction"][rank]
         for name, value in split.items():
             found[name].append(value)
+        rows, kid, w = _branch(rows[on], w, left[on], right[on], 2 * rank, 2 * rank + 1, b)
         order = np.argsort(kid, kind="stable")
         rows, node = rows[order], kid[order]
-        w = None if w_kid is None else w_kid[order]
+        w = None if w is None else w[order]
         tree = np.repeat(owner[ok], 2)
         depth += 1
     return _preorder(sizes, splits, {name: np.concatenate(v) for name, v in found.items()})
@@ -637,7 +652,9 @@ def _shape(kind: np.ndarray, start: int):
     of its root.
 
     With s the count of splits less terminals before a node, a subtree
-    starting at i ends at the first e > i where s = s[i] - 1."""
+    starting at i ends at the first e > i where s = s[i] - 1.  Split i
+    holds the nodes [i + 1, end[i]), so depth is a prefix sum: +1 at each
+    split's i + 1, -1 at its end."""
     n = len(kind)
     s = np.concatenate([[0], np.cumsum(np.where(kind == TERMINAL, -1, 1))])
     # Positions sorted by (s, position): the first position after i with
@@ -645,19 +662,9 @@ def _shape(kind: np.ndarray, start: int):
     keys = np.sort(s * (n + 1) + np.arange(n + 1))
     base = (s[:-1] - 1) * (n + 1)
     end = keys[np.searchsorted(keys, base + np.arange(1, n + 1))] - base
-    # Depth by pointer jumping up the parent links: split i is the parent
-    # of i + 1 and of end[i + 1], and the root is its own parent.
     split = np.flatnonzero(kind != TERMINAL)
-    up = np.arange(n)
-    up[split + 1] = split
-    up[end[split + 1]] = split
-    depth = (up != np.arange(n)).astype(np.int32)
-    while True:
-        nxt = up[up]
-        if np.array_equal(nxt, up):
-            break
-        depth += depth[up]
-        up = nxt
+    depth = np.cumsum(np.bincount(split + 1, minlength=n + 1)
+                      - np.bincount(end[split], minlength=n + 1))[:n]
     return end + start, depth
 
 
@@ -790,8 +797,8 @@ def descend(flat: FlatForest, ds: Dataset, trees: range, weighted: bool,
 
     A `weighted` descent starts each row with weight 1 and sends a row
     that a single-variable split cannot place (missing cell, or a category
-    the split never saw) down both branches with weights b*w and (1 - b)*w;
-    a copy below WEIGHT_FLOOR is dropped.  Rows end at terminals.
+    the split never saw) down both branches by the fit's step, `_branch`,
+    with weights b*w and (1 - b)*w.  Rows end at terminals.
     Otherwise w is None, and a row a split cannot place ends at that split.
     A hyperplane places every row, so an unweighted descent of an extended
     forest ends at the terminals a weighted one does, with weight 1.
@@ -815,24 +822,13 @@ def descend(flat: FlatForest, ds: Dataset, trees: range, weighted: bool,
             rows, nodes = rows[live], nodes[live]
             w = None if w is None else w[live]
         left, right = _sides_of(flat, X, miss, codes, rows, nodes)
-        placed = left | right
-        child = np.where(left, nodes + 1, flat.end[nodes + 1])
-        if not placed.all():
-            one, both = np.flatnonzero(placed), np.flatnonzero(~placed)
-            if w is None:
-                # Unweighted, the row ends at this split.
-                if not every_node:
-                    out.append((rows[both], nodes[both], None))
-                rows, child = rows[one], child[one]
-            else:
-                b = flat.left_fraction[nodes[both]]
-                rows = np.concatenate([rows[one], rows[both], rows[both]])
-                child = np.concatenate([child[one], nodes[both] + 1, flat.end[nodes[both] + 1]])
-                w = np.concatenate([w[one], b * w[both], (1.0 - b) * w[both]])
-                keep = w >= WEIGHT_FLOOR
-                if not keep.all():
-                    rows, child, w = rows[keep], child[keep], w[keep]
-        nodes = child
+        if w is None and not every_node:
+            # Unweighted, a row the split cannot place ends at it.
+            placed = left | right
+            if not placed.all():
+                out.append((rows[~placed], nodes[~placed], None))
+        b = None if w is None else flat.left_fraction[nodes]
+        rows, nodes, w = _branch(rows, w, left, right, nodes + 1, flat.end[nodes + 1], b)
     rows, nodes, w = zip(*out)
     return np.concatenate(rows), np.concatenate(nodes), np.concatenate(w) if weighted else None
 

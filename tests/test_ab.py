@@ -1,5 +1,7 @@
-"""tools/ab.py: one short pair of HEAD against HEAD."""
+"""tools/ab.py: one short pair of HEAD against HEAD, and its per-metric
+report and failed-run message without git."""
 
+import importlib.util
 import json
 import math
 import shutil
@@ -38,6 +40,7 @@ def test_head_against_head_reports_every_metric(tmp_path):
         assert r["pairs"] == 1 and r["wins"] in (0, 1), name
         assert math.isfinite(r["ratio"]) and r["ratio"] > 0, name
         assert r["base"]["q1"] == r["base"]["median"] == r["base"]["q3"], name
+        assert r["beyond_bound"] in (True, False), name
         assert name in proc.stdout.split("\n", 1)[1]
     # The same code, the same seed: the same memory to within a few MB.
     assert 0.9 < rows["peak_rss_mb"]["ratio"] < 1.1
@@ -46,3 +49,35 @@ def test_head_against_head_reports_every_metric(tmp_path):
     listed = subprocess.run(["git", "-C", str(ROOT), "worktree", "list"], capture_output=True,
                             text=True).stdout
     assert str(work) not in listed
+
+
+def load_ab():
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    return ab
+
+
+def test_compare_flags_a_metric_worse_past_its_bound():
+    ab = load_ab()
+    base = [1.0, 1.0, 1.1, 0.9]
+    # Lower is better: a median 30% above the base's is past a 0.25 bound,
+    # 20% is not, and without a bound nothing is judged.
+    assert ab.compare(base, [1.3] * 4, "lower", 0.25)["beyond_bound"] is True
+    assert ab.compare(base, [1.2] * 4, "lower", 0.25)["beyond_bound"] is False
+    assert ab.compare(base, [0.5] * 4, "lower", 0.25)["beyond_bound"] is False
+    assert ab.compare(base, [1.3] * 4, "lower")["beyond_bound"] is None
+    # Higher is better: worse means lower.
+    assert ab.compare(base, [0.7] * 4, "higher", 0.25)["beyond_bound"] is True
+    assert ab.compare(base, [1.3] * 4, "higher", 0.25)["beyond_bound"] is False
+    r = ab.compare(base, [1.3] * 4, "lower", 0.25)
+    assert r["base"]["median"] == 1.0 and r["new"]["median"] == 1.3
+    assert r["wins"] == 0 and r["pairs"] == 4 and r["beyond_quartiles"] is False
+
+
+def test_a_run_without_output_stops_with_a_message(monkeypatch, tmp_path):
+    ab = load_ab()
+    empty = subprocess.CompletedProcess([], 0, stdout="", stderr="")
+    monkeypatch.setattr(ab.subprocess, "run", lambda *a, **k: empty)
+    with pytest.raises(SystemExit, match="printed no result"):
+        ab.run_once(tmp_path, "pairwise-numeric", 1, 1.0, 0)

@@ -274,6 +274,30 @@ def test_memory_guard_counts_int64_sums(monkeypatch, cloud, cloud_forest):
         separation_matrix(cloud_forest, cloud)
 
 
+@pytest.mark.parametrize("table", ["dataset", "na"], ids=["complete", "missing cells"])
+def test_memory_guard_counts_a_weighted_trees_m(monkeypatch, table):
+    # The n x n check passes (None: memory unknown); every later check sees
+    # 1000 bytes.  A weighted tree's M, 24 bytes an entry, does not fit;
+    # complete rows take no weighted tree, so they never reach that check.
+    ds = generate_scenario("t4", 60, np.random.default_rng(2))[table]
+    forest = fit_forest(ds, ForestParams(n_trees=3, seed=4))
+    calls = []
+
+    def available():
+        calls.append(1)
+        return None if len(calls) == 1 else 1000
+
+    monkeypatch.setattr(distance, "_available_bytes", available)
+    if table == "dataset":
+        assert separation_matrix(forest, ds).values.size == 60 * 59 // 2
+        assert len(calls) == 1
+        return
+    with pytest.raises(FitError, match=r"tree \d's weight matrix of \d+ entries needs about "
+                                       r"\d+ bytes, but 1000 bytes are available"):
+        separation_matrix(forest, ds)
+    assert len(calls) == 2
+
+
 def test_missing_rows_traverse_both_branches(cloud_forest):
     # A prediction row missing every column still gets a finite distance.
     vals = np.array([0.0, 1.0])

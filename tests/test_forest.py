@@ -246,6 +246,58 @@ def test_routing_the_fitted_rows_gives_every_terminal_size(kind, ndim, table):
         assert np.array_equal(got, want)
 
 
+def test_fit_and_descent_drop_the_same_copies(monkeypatch):
+    # With the floor raised, both-branch copies are really dropped.  The
+    # fitted rows then reach each terminal with its fit-time size only if
+    # fitting and routing drop the same copies.
+    monkeypatch.setattr(forest_mod, "WEIGHT_FLOOR", 0.05)
+    ds = generate_scenario("t4", 200, np.random.default_rng(3))["na"]
+    flat = fit_forest(ds, ForestParams(n_trees=4, seed=5)).flat
+    _, nodes, w = descend(flat, ds, range(4), True)
+    mass = np.bincount(nodes, weights=w, minlength=len(flat.kind))
+    term = flat.kind == TERMINAL
+    np.testing.assert_allclose(mass[term], flat.size[term], rtol=1e-12, atol=0)
+    # Both branches keep a row's weight; only dropped copies lose some.
+    held = np.add.reduceat(flat.size, flat.roots[:-1])
+    assert (held < ds.n_rows - 1e-6).all()
+
+
+def stack_walk(kind):
+    """(end, depth) of one pre-order tree from its node kinds, by a walk
+    that keeps the open splits on a stack, each with the count of its
+    children still to come."""
+    end, depth = np.zeros(len(kind), dtype=np.int64), np.zeros(len(kind), dtype=np.int64)
+    open_splits = []
+    for i, k in enumerate(kind.tolist()):
+        depth[i] = len(open_splits)
+        if k != TERMINAL:
+            open_splits.append([i, 2])
+            continue
+        end[i] = i + 1
+        # The terminal completes one child of each split it closes.
+        while open_splits:
+            open_splits[-1][1] -= 1
+            if open_splits[-1][1]:
+                break
+            end[open_splits.pop()[0]] = i + 1
+    return end, depth
+
+
+def test_shape_matches_a_stack_walk(tmp_path):
+    ds = generate_scenario("mixed", 150, np.random.default_rng(6))["dataset"]
+    single = fit_forest(ds, ForestParams(n_trees=4, seed=2))
+    extended = fit_forest(ds, ForestParams(n_trees=4, seed=2, model_kind="extended", ndim=2))
+    save_model(single, tmp_path / "model.npz")
+    loaded = load_model(tmp_path / "model.npz")
+    for flat in (single.flat, extended.flat, loaded.flat):
+        for a, b in zip(flat.roots[:-1].tolist(), flat.roots[1:].tolist()):
+            end, depth = stack_walk(flat.kind[a:b])
+            assert np.array_equal(flat.end[a:b], end + a)
+            assert np.array_equal(flat.depth[a:b], depth)
+    end, depth = forest_mod._shape(np.array([TERMINAL], dtype=np.int8), 7)
+    assert end.tolist() == [8] and depth.tolist() == [0]
+
+
 def assert_same_flat(got, want):
     """Every field of the FlatForest `got` equals that of `want`, in dtype,
     shape and value."""

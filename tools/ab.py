@@ -13,8 +13,11 @@ a failed op.
 For every metric it prints each side's median and quartiles, the median
 of the per-pair ratios NEW / BASE, and in how many pairs NEW was better
 (in the metric's direction from BENCHMARK.json, "lower" if not listed),
-and whether NEW's median lies outside BASE's quartiles.  The last line is
-the same report as one JSON object, with every run's value.  The worktrees are removed at the end.
+and whether NEW's median lies outside BASE's quartiles.  An end-to-end
+metric whose NEW median is worse than BASE's by more than its bound from
+BENCHMARK.json (bound x BASE's median) is marked "worse past bound".  The
+last line is the same report as one JSON object, with every run's value.
+The worktrees are removed at the end.
 Run it from anywhere inside the repository.
 """
 
@@ -44,15 +47,22 @@ def summarize(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def compare(base: list[float], new: list[float], better: str) -> dict:
-    """One metric's report over pairs (base[i], new[i])."""
+def compare(base: list[float], new: list[float], better: str, bound: float | None = None) -> dict:
+    """One metric's report over pairs (base[i], new[i]).  With a `bound`,
+    `beyond_bound` says whether the new median is worse than the base
+    median by more than bound x the base median; None without one."""
     a, b = summarize(base), summarize(new)
     ratios = [y / x for x, y in zip(base, new) if x]
     wins = sum((y < x) if better == "lower" else (y > x) for x, y in zip(base, new))
     outside = b["median"] < a["q1"] if better == "lower" else b["median"] > a["q3"]
+    worse = None
+    if bound is not None:
+        slack = bound * a["median"]
+        worse = (b["median"] > a["median"] + slack if better == "lower"
+                 else b["median"] < a["median"] - slack)
     return {"base": a, "new": b, "ratio": statistics.median(ratios) if ratios else None,
             "wins": wins, "pairs": len(base), "beyond_quartiles": outside,
-            "runs": {"base": base, "new": new}}
+            "beyond_bound": worse, "runs": {"base": base, "new": new}}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -65,7 +75,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"ab: {where}: exit code {proc.returncode}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"ab: {where}: the run printed no result")
+    result = json.loads(lines[-1])
     if not result["correct"] or result["failed"]:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"ab: {where}: correct={result['correct']}, "
@@ -89,6 +103,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     revs = {"base": git("rev-parse", "--verify", f"{args.base}^{{commit}}"),
             "new": git("rev-parse", "--verify", f"{args.new}^{{commit}}")}
@@ -120,7 +135,8 @@ def main(argv=None) -> int:
               "seconds": args.seconds, "workloads": {}}
     for w, sides in metrics.items():
         report["workloads"][w] = {
-            name: compare(sides["base"][name], sides["new"][name], better.get(name, "lower"))
+            name: compare(sides["base"][name], sides["new"][name], better.get(name, "lower"),
+                          bound.get(name))
             for name in sides["base"]
         }
     print(f"base {revs['base'][:10]}  new {revs['new'][:10]}  "
@@ -133,7 +149,8 @@ def main(argv=None) -> int:
             print(f"  {name:<34s} {a['median']:11.5g} [{a['q1']:.5g}, {a['q3']:.5g}] -> "
                   f"{b['median']:11.5g} [{b['q1']:.5g}, {b['q3']:.5g}]  ratio {ratio}  "
                   f"better {r['wins']}/{r['pairs']}"
-                  + ("  beyond base quartiles" if r["beyond_quartiles"] else ""))
+                  + ("  beyond base quartiles" if r["beyond_quartiles"] else "")
+                  + ("  worse past bound" if r["beyond_bound"] else ""))
     print(json.dumps(report))
     return 0
 
