@@ -21,6 +21,7 @@ from .forest import (
     ModelFormatError,
     fit_forest,
     load_model,
+    remap_dataset,
     save_model,
 )
 
@@ -115,7 +116,7 @@ def _fit_or_load(args):
 
 def cmd_dist(args) -> int:
     forest, ds = _fit_or_load(args)
-    _, gmap = deduplicate(ds)
+    _, gmap = deduplicate(remap_dataset(forest, ds))
     n_dup = ds.n_rows - int(gmap.max()) - 1
     if n_dup:
         print(f"note: {n_dup} duplicate rows collapsed (distance 0 within groups)",

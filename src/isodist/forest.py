@@ -45,8 +45,8 @@ the padded hyperplane term table that scoring reads in place of the
 stored CSR terms.
 
 The node dataclasses (`Terminal`, `NumericSplit`, `CategoricalSplit`,
-`HyperplaneSplit`) are only a read-only view, `Forest.trees`, built from
-the arrays on first access; the library itself never reads it.
+`HyperplaneSplit`) are only a read-only view, `Forest.trees`, that builds
+a tree from the arrays each time it is read; the library never reads it.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ import json
 import math
 import re
 import zipfile
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -160,12 +160,25 @@ class Forest:
     flat: FlatForest  # the trees
     n_sub: int = 0
 
-    @cached_property
-    def trees(self) -> tuple:
+    @property
+    def trees(self) -> _Trees:
         """The trees as node objects, their roots in order: a read-only
-        view of `flat`, built on first access, for code that walks nodes.
-        The library never reads it."""
-        return tuple(_trees(self.flat, _label_counts(self.schema)))
+        sequence over `flat` that builds tree t's nodes each time item t is
+        read, for code that walks nodes.  The library never reads it."""
+        return _Trees(self.flat, _label_counts(self.schema).tolist())
+
+
+class _Trees(Sequence):
+    """`Forest.trees`; it caches nothing."""
+
+    def __init__(self, flat: FlatForest, n_labels: list):
+        self.flat, self.n_labels = flat, n_labels
+
+    def __len__(self) -> int:
+        return len(self.flat.roots) - 1
+
+    def __getitem__(self, t: int):
+        return _tree(self.flat, self.n_labels, range(len(self))[t])
 
 
 def _label_counts(schema) -> np.ndarray:
@@ -273,6 +286,11 @@ def _segment_medians(seg, vals, n_seg):
     med = np.full(n_seg, np.nan)
     med[has] = np.where(count[has] % 2 == 1, a, (a + b) / 2)
     return med
+
+
+def _every(mask):
+    """Index of the True entries of `mask`: a full slice when all are."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
 
 
 def _branch(rows, w, left, right, to_left, to_right, b):
@@ -477,7 +495,7 @@ def _grow(X, miss, n_labels, idxs, rngs, params: ForestParams):
                 X, miss, n_labels, rows, seg, starts, lo, hi, keys, owner, rngs, params.ndim
             )
         splits.append(np.flatnonzero(cand)[ok])
-        on = np.flatnonzero(ok[seg])
+        on = _every(ok[seg])
         rank = (np.cumsum(ok) - 1)[seg[on]]
         b = None
         if weighted:
@@ -719,11 +737,6 @@ def _pad_terms(num_ptr, num_var, num_coef, num_impute, cat_ptr, cat_var, cat_coe
     return out
 
 
-def _every(mask):
-    """Index of the True entries of `mask`: a full slice when all are."""
-    return slice(None) if mask.all() else np.flatnonzero(mask)
-
-
 def _codes(X, miss, width):
     """The cells (X, miss) as category codes, an intp array of X's shape:
     each cell's code, or `width` where it is missing, negative or >= width.
@@ -765,27 +778,16 @@ def _sides_of(flat: FlatForest, X, miss, codes, rows, nodes):
     if len(flat.num_ptr) > 1:  # one entry per hyperplane, and one more
         go = _project(flat, X, miss, codes, rows, flat.slot[nodes]) <= flat.value[nodes]
         return go, ~go
-    kind = flat.kind[nodes]
-    left = np.zeros(len(rows), dtype=bool)
-    right = np.zeros(len(rows), dtype=bool)
-    for k in (NUMERIC, CATEGORICAL):
-        hit = kind == k
-        if not hit.any():
-            continue
-        sel = _every(hit)
-        r, n = rows[sel], nodes[sel]
-        at = r * X.shape[1] + flat.var[n]
-        known, vals = ~miss.ravel()[at], X.ravel()[at]
-        if k == NUMERIC:
-            go = known & (vals <= flat.value[n])
-            left[sel], right[sel] = go, known & ~go
-            continue
-        code = vals.astype(np.intp)
-        ok = known & (code >= 0) & (code < flat.sides.shape[2])
-        code = np.where(ok, code, 0)
-        t = flat.slot[n]
-        left[sel] = ok & flat.sides[t, 0, code]
-        right[sel] = ok & flat.sides[t, 1, code]
+    at = rows * X.shape[1] + flat.var[nodes]
+    known, vals = ~miss.ravel()[at], X.ravel()[at]
+    left = known & (vals <= flat.value[nodes])
+    right = known & ~left
+    cat = np.flatnonzero(flat.kind[nodes] == CATEGORICAL)
+    if len(cat):
+        code = vals[cat].astype(np.intp)
+        ok = known[cat] & (code >= 0) & (code < flat.sides.shape[2])
+        sides = flat.sides[flat.slot[nodes[cat]], :, np.where(ok, code, 0)]
+        left[cat], right[cat] = (ok[:, None] & sides).T
     return left, right
 
 
@@ -991,39 +993,35 @@ def _validate(a: dict, model_kind: str, n_labels, n_trees: int, n_sub: int) -> N
     _check(((frac >= 0) & (frac <= 1)).all(), "a left fraction is outside [0, 1]")
 
 
-def _trees(flat: FlatForest, n_labels) -> list:
-    """The node objects of `flat`'s trees, their roots in order, as
-    `Forest.trees` shows them; n_labels holds each column's label count.
-    Each kind's nodes are built from `.tolist()` columns, then one pass
-    links every split to its children."""
-    kind = flat.kind
-    obj = np.empty(len(kind), dtype=object)
-    idx = np.flatnonzero(kind == TERMINAL)
-    obj[idx] = list(map(Terminal, flat.size[idx].tolist()))
-    idx = np.flatnonzero(kind == NUMERIC)
-    obj[idx] = list(map(NumericSplit, flat.var[idx].tolist(), flat.value[idx].tolist(),
-                        flat.left_fraction[idx].tolist()))
-    idx = np.flatnonzero(kind == CATEGORICAL)
-    left, present = flat.sides[:, 0], flat.sides.any(axis=1)
-    obj[idx] = [
-        CategoricalSplit(v, left[k, :s].copy(), present[k, :s].copy(), b)
-        for k, (v, s, b) in enumerate(zip(flat.var[idx].tolist(), n_labels[flat.var[idx]].tolist(),
-                                          flat.left_fraction[idx].tolist()))
-    ]
-    idx = np.flatnonzero(kind == HYPERPLANE)
-    nv, nc, ni = flat.num_var.tolist(), flat.num_coef.tolist(), flat.num_impute.tolist()
-    cv, ci = flat.cat_var.tolist(), flat.cat_impute.tolist()
-    cc = [row[:s].copy() for row, s in zip(flat.cat_coef, n_labels[flat.cat_var].tolist())]
-    num, cat = flat.num_ptr.tolist(), flat.cat_ptr.tolist()
-    obj[idx] = [
-        HyperplaneSplit(nv[i:j], nc[i:j], ni[i:j], cv[k:m], cc[k:m], ci[k:m], z)
-        for i, j, k, m, z in zip(num, num[1:], cat, cat[1:], flat.value[idx].tolist())
-    ]
-    split = np.flatnonzero(kind != TERMINAL)
-    for p, lt, rt in zip(obj[split].tolist(), obj[split + 1].tolist(),
-                         obj[flat.end[split + 1]].tolist()):
-        p.left, p.right = lt, rt
-    return obj[flat.roots[:-1]].tolist()
+def _tree(flat: FlatForest, n_labels: list, t: int):
+    """The root of tree t of `flat` as node objects, as `Forest.trees`
+    shows it; n_labels holds each column's label count.  One pass over the
+    tree's nodes in reverse pre-order builds every split after its
+    children, i + 1 and end[i + 1], without recursion."""
+    a, b = flat.roots[t : t + 2].tolist()
+    kind, var, slot, value, frac, size, end = (x[a:b].tolist() for x in (
+        flat.kind, flat.var, flat.slot, flat.value, flat.left_fraction, flat.size, flat.end))
+    node = [None] * (b - a)
+    for i in range(b - a - 1, -1, -1):
+        if kind[i] == TERMINAL:
+            node[i] = Terminal(size[i])
+            continue
+        kids = node[i + 1], node[end[i + 1] - a]
+        if kind[i] == NUMERIC:
+            node[i] = NumericSplit(var[i], value[i], frac[i], *kids)
+        elif kind[i] == CATEGORICAL:
+            sides = flat.sides[slot[i], :, : n_labels[var[i]]]
+            node[i] = CategoricalSplit(var[i], sides[0].copy(), sides.any(axis=0), frac[i], *kids)
+        else:
+            n0, n1 = flat.num_ptr[slot[i] : slot[i] + 2]
+            c0, c1 = flat.cat_ptr[slot[i] : slot[i] + 2]
+            cat_var = flat.cat_var[c0:c1].tolist()
+            node[i] = HyperplaneSplit(
+                flat.num_var[n0:n1].tolist(), flat.num_coef[n0:n1].tolist(),
+                flat.num_impute[n0:n1].tolist(), cat_var,
+                [row[: n_labels[v]].copy() for row, v in zip(flat.cat_coef[c0:c1], cat_var)],
+                flat.cat_impute[c0:c1].tolist(), value[i], *kids)
+    return node[0]
 
 
 def load_model(path) -> Forest:

@@ -41,6 +41,7 @@ def test_head_against_head_reports_every_metric(tmp_path):
         assert math.isfinite(r["ratio"]) and r["ratio"] > 0, name
         assert r["base"]["q1"] == r["base"]["median"] == r["base"]["q3"], name
         assert r["beyond_bound"] in (True, False), name
+        assert r["unresolved"] is False, name  # one run: no spread
         assert name in proc.stdout.split("\n", 1)[1]
     # The same code, the same seed: the same memory to within a few MB.
     assert 0.9 < rows["peak_rss_mb"]["ratio"] < 1.1
@@ -73,6 +74,20 @@ def test_compare_flags_a_metric_worse_past_its_bound():
     r = ab.compare(base, [1.3] * 4, "lower", 0.25)
     assert r["base"]["median"] == 1.0 and r["new"]["median"] == 1.3
     assert r["wins"] == 0 and r["pairs"] == 4 and r["beyond_quartiles"] is False
+
+
+def test_compare_marks_a_metric_unresolved_when_base_spreads_past_its_bound():
+    ab = load_ab()
+    # Base quartiles 0.8 and 1.2: a spread of 0.4 x the median of 1.0.
+    base = [0.7, 0.8, 1.0, 1.2, 1.3]
+    assert ab.compare(base, base, "lower", 0.25)["unresolved"] is True
+    assert ab.compare(base, base, "lower", 0.5)["unresolved"] is False
+    assert ab.compare(base, base, "lower")["unresolved"] is None
+    # Unless every new run beats every base run, in the metric's direction.
+    assert ab.compare(base, [0.6] * 5, "lower", 0.25)["unresolved"] is False
+    assert ab.compare(base, [0.7] * 5, "lower", 0.25)["unresolved"] is True
+    assert ab.compare(base, [1.4] * 5, "higher", 0.25)["unresolved"] is False
+    assert ab.compare(base, [1.3] * 5, "higher", 0.25)["unresolved"] is True
 
 
 def test_a_run_without_output_stops_with_a_message(monkeypatch, tmp_path):

@@ -93,6 +93,22 @@ def test_dist_reports_duplicates(tmp_path, capsys):
     assert "duplicate" in stderr
 
 
+def test_dist_reports_rows_that_remapping_makes_duplicates(tmp_path, capsys):
+    # "zz" and "yy" are both labels the model never saw.
+    train = tmp_path / "train.csv"
+    train.write_text("x,c\n1.0,a\n2.0,b\n3.0,a\n4.0,b\n")
+    model = str(tmp_path / "model.npz")
+    assert main(["fit", "--input", str(train), "--trees", "5", "--output", model]) == 0
+    rows = tmp_path / "rows.csv"
+    rows.write_text("x,c\n1.0,zz\n1.0,yy\n3.0,a\n")
+    out = str(tmp_path / "d.csv")
+    code, _, stderr = run(["dist", "--input", str(rows), "--model-file", model,
+                          "--output", out], capsys)
+    assert code == 0
+    assert CondensedMatrix.read_csv(out)[0, 1] == 0.0
+    assert "note: 1 duplicate rows collapsed" in stderr
+
+
 def test_score_output(small_csv, tmp_path, capsys):
     out = str(tmp_path / "scores.csv")
     code, _, _ = run(

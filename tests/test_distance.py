@@ -24,6 +24,7 @@ from isodist.forest import (
     ForestParams,
     NumericSplit,
     Terminal,
+    descend,
     fit_forest,
     save_model,
 )
@@ -139,6 +140,20 @@ def test_both_branch_rows_carry_exact_weights(kind):
     assert np.array_equal(
         anomaly_scores(forest, ds), standardize_isolation(depths, forest.n_sub)
     )
+
+
+def test_descent_sends_a_code_past_the_sides_table_both_ways():
+    # Not remapped, row 2's code 2 ("zebra") lies past the split's
+    # two-code sides table, so the split places it neither way.
+    forest, ds = weighted_case("categorical")
+    assert forest.flat.sides.shape[2] == 2
+    rows, nodes, w = descend(forest.flat, ds, range(1), weighted=True)
+    assert sorted(zip(rows.tolist(), nodes.tolist(), w.tolist())) == [
+        (0, 1, 1.0), (1, 2, 1.0), (2, 1, 0.25), (2, 2, 0.75)]
+    # Unweighted, it ends at the split.
+    rows, nodes, w = descend(forest.flat, ds, range(1), weighted=False)
+    assert w is None
+    assert sorted(zip(rows.tolist(), nodes.tolist())) == [(0, 1), (1, 2), (2, 0)]
 
 
 def test_output_range_and_symmetry(cloud, cloud_forest):

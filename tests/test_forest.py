@@ -306,21 +306,26 @@ def assert_same_flat(got, want):
         assert have.dtype == value.dtype and np.array_equal(have, value, equal_nan=True), name
 
 
-def test_node_view_built_once_per_forest(monkeypatch, tmp_path, normal_ds):
-    # `Forest.trees` is a read-only view of the arrays, built on first use.
+def test_node_view_builds_one_tree_per_item(monkeypatch, tmp_path, normal_ds):
+    # `Forest.trees` is a read-only sequence over the arrays: its length
+    # builds nothing, and each item read builds that one tree, uncached.
     forest = fit_forest(normal_ds, ForestParams(n_trees=3, seed=1))
     built = []
-    real = forest_mod._trees
-    monkeypatch.setattr(forest_mod, "_trees", lambda *a: built.append(1) or real(*a))
-    assert forest.trees is forest.trees
-    assert len(built) == 1
+    real = forest_mod._tree
+    monkeypatch.setattr(forest_mod, "_tree", lambda *a: built.append(a[-1]) or real(*a))
+    trees = forest.trees
+    assert len(trees) == 3 and not built
+    assert trees[0] is not trees[0] and built == [0, 0]
+    assert trees[-1] == trees[2] and built[2:] == [2, 2]
+    with pytest.raises(IndexError):
+        trees[3]
     with pytest.raises(TypeError):
-        forest.trees[1] = forest.trees[0]
+        trees[1] = trees[0]
     save_model(forest, tmp_path / "model.npz")
     loaded = load_model(tmp_path / "model.npz")
-    assert len(built) == 1
+    del built[:]
     assert_same_flat(compile_trees(loaded.trees), loaded.flat)
-    assert len(built) == 2
+    assert built == [0, 1, 2]
 
 
 def test_overflowing_range_still_splits():
@@ -1011,6 +1016,7 @@ def test_tree_deeper_than_the_recursion_limit(tmp_path):
     for kind in ("single", "extended"):
         forest = fit_forest(ds, ForestParams(n_trees=1, seed=0, model_kind=kind))
         assert forest.flat.depth.max() > sys.getrecursionlimit()
+        assert_same_flat(compile_trees(forest.trees), forest.flat)
         scores = anomaly_scores(forest, ds)
         assert np.all((scores > 0) & (scores <= 1))
         path = tmp_path / f"{kind}.npz"
@@ -1121,7 +1127,7 @@ def test_library_never_builds_the_node_view(monkeypatch, tmp_path):
     def refuse(*args):
         raise AssertionError("the node view was built")
 
-    monkeypatch.setattr(forest_mod, "_trees", refuse)
+    monkeypatch.setattr(forest_mod, "_tree", refuse)
     weighted = []
     real = distance._add_weighted
     monkeypatch.setattr(distance, "_add_weighted", lambda *a: weighted.append(1) or real(*a))

@@ -15,9 +15,12 @@ of the per-pair ratios NEW / BASE, and in how many pairs NEW was better
 (in the metric's direction from BENCHMARK.json, "lower" if not listed),
 and whether NEW's median lies outside BASE's quartiles.  An end-to-end
 metric whose NEW median is worse than BASE's by more than its bound from
-BENCHMARK.json (bound x BASE's median) is marked "worse past bound".  The
-last line is the same report as one JSON object, with every run's value.
-The worktrees are removed at the end.
+BENCHMARK.json (bound x BASE's median) is marked "worse past bound", and
+one whose BASE interquartile range is wider than that bound is marked
+"unresolved", unless every NEW run is better than every BASE run: its
+spread cannot tell a change within the bound from none.  The last line
+is the same report as one JSON object, with every run's value.  The
+worktrees are removed at the end.
 Run it from anywhere inside the repository.
 """
 
@@ -50,19 +53,23 @@ def summarize(values: list[float]) -> dict:
 def compare(base: list[float], new: list[float], better: str, bound: float | None = None) -> dict:
     """One metric's report over pairs (base[i], new[i]).  With a `bound`,
     `beyond_bound` says whether the new median is worse than the base
-    median by more than bound x the base median; None without one."""
+    median by more than bound x the base median, and `unresolved` whether
+    the base quartiles lie further apart than that, with some new run no
+    better than some base run; both None without a bound."""
     a, b = summarize(base), summarize(new)
     ratios = [y / x for x, y in zip(base, new) if x]
     wins = sum((y < x) if better == "lower" else (y > x) for x, y in zip(base, new))
     outside = b["median"] < a["q1"] if better == "lower" else b["median"] > a["q3"]
-    worse = None
+    worse = unresolved = None
     if bound is not None:
         slack = bound * a["median"]
         worse = (b["median"] > a["median"] + slack if better == "lower"
                  else b["median"] < a["median"] - slack)
+        clear = max(new) < min(base) if better == "lower" else min(new) > max(base)
+        unresolved = a["q3"] - a["q1"] > slack and not clear
     return {"base": a, "new": b, "ratio": statistics.median(ratios) if ratios else None,
             "wins": wins, "pairs": len(base), "beyond_quartiles": outside,
-            "beyond_bound": worse, "runs": {"base": base, "new": new}}
+            "beyond_bound": worse, "unresolved": unresolved, "runs": {"base": base, "new": new}}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -150,7 +157,8 @@ def main(argv=None) -> int:
                   f"{b['median']:11.5g} [{b['q1']:.5g}, {b['q3']:.5g}]  ratio {ratio}  "
                   f"better {r['wins']}/{r['pairs']}"
                   + ("  beyond base quartiles" if r["beyond_quartiles"] else "")
-                  + ("  worse past bound" if r["beyond_bound"] else ""))
+                  + ("  worse past bound" if r["beyond_bound"] else "")
+                  + ("  unresolved" if r["unresolved"] else ""))
     print(json.dumps(report))
     return 0
 
