@@ -109,8 +109,6 @@ def _fit_or_load(args):
     if args.fit_predict:
         ds = _load_input(args)
         return fit_forest(ds, _make_params(args)), ds
-    if not args.model_file:
-        raise FitError("either --model-file or --fit-predict is required")
     return load_model(args.model_file), _load_input(args)
 
 
@@ -176,8 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dist = sub.add_parser("dist", help="compute a pairwise distance matrix")
     _add_data_flags(p_dist)
-    p_dist.add_argument("--model-file", type=_existing_file, default=None)
-    p_dist.add_argument("--fit-predict", action="store_true",
+    source = p_dist.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model-file", type=_existing_file)
+    source.add_argument("--fit-predict", action="store_true",
                         help="fit on the input data, then compute distances")
     _add_fit_flags(p_dist)
     p_dist.add_argument("--output", required=True)
@@ -186,8 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_score = sub.add_parser("score", help="compute per-row anomaly scores")
     _add_data_flags(p_score)
-    p_score.add_argument("--model-file", type=_existing_file, default=None)
-    p_score.add_argument("--fit-predict", action="store_true")
+    source = p_score.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model-file", type=_existing_file)
+    source.add_argument("--fit-predict", action="store_true")
     _add_fit_flags(p_score)
     p_score.add_argument("--output", required=True)
     p_score.set_defaults(func=cmd_score)

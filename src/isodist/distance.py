@@ -12,14 +12,15 @@ median imputation to the hyperplane projection (extended trees).
 Everything here reads the forest as its flat arrays, `Forest.flat`, which
 fitting and `load_model` emit, and rows reach nodes through
 `forest.descend`, which moves (row, node, weight) triples down all trees
-one depth level at a time.  `separation_matrix` sums each tree's pair
-depths by one of two paths:
+one depth level at a time and hands them over in node order, tree by tree
+and pre-order within a tree; every sum here reads them in that order.
+`separation_matrix` sums each tree's pair depths by one of two paths:
 
 * A tree where no split that two rows reach sends one of them neither
   way (all extended trees, and single-variable trees on rows without
   missing cells or categories a node never saw) takes the leaf-order
   kernel.  An unweighted descent gives each row the node where it ends;
-  sorted by that node, the rows are in leaf order, in which every node's
+  in node order, the rows are in leaf order, in which every node's
   rows form one block [s, e), found by `searchsorted` against the node
   ids and their subtree ends.  Only the strict upper triangle of an n x n
   scratch is filled: a terminal at depth d fills its block's with d + 3, a
@@ -27,11 +28,11 @@ depths by one of two paths:
   d + 1, so each upper cell is written once and the rest stays 0.  The
   scratch is gathered out of leaf order into an integer accumulator,
   where each tree adds a pair's depth to one of the pair's two cells; the
-  result adds the two.  The scratch has byte cells when the forest's
-  deepest node's depth + 3 fits in one, int32 cells otherwise.  The
-  accumulator has int32 cells while the trees times that depth fit in
-  one, int64 cells otherwise, so no sum wraps.  Trees are routed in
-  batches of about ROUTE_TRIPLES triples per level.
+  two are added while the condensed result is built.  The scratch has
+  byte cells when the forest's deepest node's depth + 3 fits in one,
+  int32 cells otherwise.  The accumulator has int32 cells while the trees
+  times that depth fit in one, int64 cells otherwise, so no sum wraps.
+  Trees are routed in batches of about ROUTE_TRIPLES triples per level.
 * Any other tree is summed with weights, as the sparse product
   M diag(c) M^T (the proximity product of RF-GAP, Rhodes, Cutler and Moon,
   arXiv:2201.12682): M holds the weight with which each row reaches each
@@ -60,8 +61,8 @@ ROUTE_TRIPLES // trees rows at a time, so that its (row, node, weight)
 triples do not grow with the table: with weights for a single-variable
 forest, unweighted for an extended one, where every weight would be 1.
 It sums each terminal's w * h, h its isolation depth, into its row from
-0.0 with `np.bincount`, in tree order and then pre-order, as a
-tree-by-tree walk would.
+0.0 with `np.bincount`, in the descent's node order, as a tree-by-tree
+walk would.
 
 Depth sums are averaged over trees and squashed through
 2^(-(avg-1)/2), giving distances in (0, 1] with 0.5 the expected value
@@ -125,11 +126,11 @@ def _add_weighted(flat: FlatForest, t: int, ds: Dataset, D) -> None:
             f"tree {t}'s weight matrix of {len(rows)} entries needs about {need} bytes, "
             f"but {available} bytes are available"
         )
-    # Columns in node order within each row, so each cell sums its nodes
-    # root first.
-    m = sparse.csr_matrix((w, (rows, local)), shape=(ds.n_rows, size))
-    m.sort_indices()
-    mt = m.T.tocsr()
+    # In node order the triples are M^T row by row; M, its transpose, holds
+    # each row's nodes ascending, so each cell sums its nodes root first.
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(local, minlength=size))])
+    mt = sparse.csr_matrix((w, rows, indptr), shape=(size, ds.n_rows))
+    m = mt.T.tocsr()
     m.data *= c[m.indices]  # now M diag(c)
     step = _block_rows(ds.n_rows)
     for a in range(0, ds.n_rows, step):
@@ -171,12 +172,10 @@ def _tree_sums(forest: Forest, ds: Dataset) -> np.ndarray:
     for t0 in range(0, n_trees, batch):
         trees = range(t0, min(t0 + batch, n_trees))
         # Each row ends once per tree: at a terminal, or at a split that
-        # cannot place it.  Sorted by end node, tree t's rows are
+        # cannot place it.  In node order, tree t's rows are
         # `rows[k * n : (k + 1) * n]` in its leaf order, in which every
         # node's rows form one block.
         rows, ends, _ = descend(flat, ds, trees, False)
-        order = np.argsort(ends, kind="stable")
-        rows, ends = rows[order], ends[order]
         for k, t in enumerate(trees):
             keys = ends[k * n : (k + 1) * n]
             ids = np.arange(flat.roots[t], flat.roots[t + 1])
@@ -218,21 +217,13 @@ def _tree_sums(forest: Forest, ds: Dataset) -> np.ndarray:
             counts += leaf
     if counts is None:
         return _upper(sums)
-    _fold(counts)
-    # Float addition commutes: adding the float sums to a pair's integer
-    # sum is adding that sum to them.
-    cells = _upper(counts)
+    # A pair's two integer cells add exactly, a row slice at a time; float
+    # addition commutes, so adding the float sums after is adding to them.
+    cells = np.concatenate([counts[i, i + 1 :] + counts[i + 1 :, i] for i in range(n - 1)],
+                           dtype=np.float64)
     if sums is not None:
         cells += _upper(sums)
     return cells
-
-
-def _fold(counts: np.ndarray) -> None:
-    """Add each cell below the diagonal of square integer `counts` into its
-    mirror above, a row slice at a time: each pair's two cells then sum,
-    exactly, in the upper one.  Only upper cells are read afterwards."""
-    for i in range(len(counts) - 1):
-        counts[i, i + 1 :] += counts[i + 1 :, i]
 
 
 def _upper(a) -> np.ndarray:
@@ -328,7 +319,10 @@ def pair_distance(forest: Forest, ds: Dataset, i: int, j: int) -> float:
     the full-matrix entry: exactly on complete data, where the sums are
     integers, and to float rounding otherwise.  Two rows take at most two
     triples per node of the forest, so the memory is bounded by the
-    forest's size, whatever the size of `ds`."""
+    forest's size, whatever the size of `ds`.  Raises IndexError when i
+    or j is not a row of `ds`."""
+    if not (0 <= i < ds.n_rows and 0 <= j < ds.n_rows):
+        raise IndexError(f"pair ({i}, {j}) out of range for n_rows={ds.n_rows}")
     sub = remap_dataset(forest, ds.take([i, j]))
     keys = row_keys(sub)
     if (keys[0] == keys[1]).all():
@@ -361,11 +355,8 @@ def anomaly_scores(forest: Forest, ds: Dataset) -> np.ndarray:
     for a in range(0, ds.n_rows, step):
         block = ds.take(np.arange(a, min(a + step, ds.n_rows)))
         rows, nodes, w = descend(flat, block, range(n_trees), weighted)
-        # Each row adds its terminals' w * h from 0.0 in node order, which
-        # is tree order, then pre-order within a tree.
-        order = np.argsort(nodes, kind="stable")
-        h = flat.value[nodes[order]]
+        h = flat.value[nodes]
         depths[a : a + block.n_rows] = np.bincount(
-            rows[order], h if w is None else w[order] * h, minlength=block.n_rows)
+            rows, h if w is None else w * h, minlength=block.n_rows)
     avg = depths / n_trees
     return depth_math.standardize_isolation(avg, max(2, forest.n_sub))

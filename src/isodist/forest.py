@@ -36,7 +36,8 @@ weight) triples down all trees one depth level at a time, by the fit's
 rules: numeric threshold, categorical subset, the hyperplane projection
 with stored imputations, and the one both-branch step the fit takes too
 (`_branch`: weights b and 1 - b for a row a single-variable split cannot
-place, and the drop of copies below the weight floor).
+place, and the drop of copies below the weight floor).  It hands the
+triples over in node order, tree by tree and pre-order within a tree.
 
 The model file is the FlatForest's stored arrays (STORED) in an .npz
 archive with a JSON header; `load_model` validates them with whole-array
@@ -795,7 +796,9 @@ def descend(flat: FlatForest, ds: Dataset, trees: range, weighted: bool,
             every_node: bool = False):
     """Move every row of `ds` from the root of each tree in `trees` down to
     where it ends, one depth level at a time, as (row, node, weight)
-    triples; returns the triples where rows end, as arrays (rows, nodes, w).
+    triples; returns the triples where rows end, as arrays (rows, nodes, w),
+    in node order: tree by tree, pre-order within a tree, stable within a
+    node.  Every sum over the nodes a row reaches is taken in this order.
 
     A `weighted` descent starts each row with weight 1 and sends a row
     that a single-variable split cannot place (missing cell, or a category
@@ -832,7 +835,10 @@ def descend(flat: FlatForest, ds: Dataset, trees: range, weighted: bool,
         b = None if w is None else flat.left_fraction[nodes]
         rows, nodes, w = _branch(rows, w, left, right, nodes + 1, flat.end[nodes + 1], b)
     rows, nodes, w = zip(*out)
-    return np.concatenate(rows), np.concatenate(nodes), np.concatenate(w) if weighted else None
+    nodes = np.concatenate(nodes)
+    order = np.argsort(nodes, kind="stable")
+    w = np.concatenate(w)[order] if weighted else None
+    return np.concatenate(rows)[order], nodes[order], w
 
 
 # ---------------------------------------------------------------------------

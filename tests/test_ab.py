@@ -33,6 +33,9 @@ def test_head_against_head_reports_every_metric(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["base"] == report["new"]
+    assert report["lines"] == {path: {"added": 0, "removed": 0, "net": 0}
+                               for path in ("src", "tests")}
+    assert "lines src/ +0/-0 (+0)  tests/ +0/-0 (+0)" in proc.stdout
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     rows = report["workloads"]["pairwise-numeric"]
     assert set(rows) == {m["name"] for m in spec["end_to_end"]}

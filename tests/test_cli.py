@@ -164,12 +164,20 @@ def test_zero_trees_is_usage_error(small_csv, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_dist_without_model_source_is_runtime_error(small_csv, tmp_path, capsys):
-    code, _, stderr = run(
-        ["dist", "--input", small_csv, "--output", str(tmp_path / "d.csv")], capsys
-    )
-    assert code == 1
-    assert "error:" in stderr
+def test_model_source_is_a_usage_error(small_csv, tmp_path, capsys):
+    # Exactly one of --model-file and --fit-predict: a model file given
+    # with --fit-predict would otherwise be ignored.
+    model = str(tmp_path / "model.npz")
+    assert main(["fit", "--input", small_csv, "--trees", "3", "--output", model]) == 0
+    for command in ("dist", "score"):
+        base = [command, "--input", small_csv, "--output", str(tmp_path / "out.csv")]
+        for source, message in ((["--model-file", model, "--fit-predict"], "not allowed with"),
+                                ([], "one of the arguments --model-file --fit-predict")):
+            with pytest.raises(SystemExit) as exc:
+                main(base + source + ["--trees", "7"])
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_schema_mismatch_is_runtime_error(small_csv, tmp_path, capsys):

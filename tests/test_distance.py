@@ -221,6 +221,14 @@ def test_pair_distance_matches_matrix_entry(cloud, cloud_forest):
         assert pair_distance(cloud_forest, cloud, int(i), int(j)) == m[int(i), int(j)]
 
 
+def test_pair_distance_refuses_a_row_outside_the_table(cloud, cloud_forest):
+    n = cloud.n_rows
+    for i, j in ((-1, 0), (0, -1), (n, 0), (0, n)):
+        with pytest.raises(IndexError, match=rf"pair \({i}, {j}\) out of range for n_rows={n}"):
+            pair_distance(cloud_forest, cloud, i, j)
+    assert pair_distance(cloud_forest, cloud, n - 1, n - 1) == 0.0
+
+
 def test_third_point_independence(cloud, cloud_forest):
     # Removing other rows leaves a pair's matrix entry bit-identical.
     m_full = separation_matrix(cloud_forest, cloud)

@@ -824,9 +824,9 @@ def descended(tree, ds, weighted, every_node=True):
 
 
 def leaf_order(forest, t, ds):
-    """Rows of `ds` sorted by where an unweighted descent of tree t ends."""
-    rows, nodes, _ = descend(forest.flat, ds, range(t, t + 1), False)
-    return rows[np.argsort(nodes, kind="stable")]
+    """Rows of `ds` in the node order of where an unweighted descent of
+    tree t ends them, as `descend` returns them."""
+    return descend(forest.flat, ds, range(t, t + 1), False)[0]
 
 
 def test_descend_reaches_nodes_in_pre_order():
@@ -853,6 +853,35 @@ def test_leaf_order_is_a_permutation(normal_ds, kind, ndim):
     for t in range(3):
         order = leaf_order(forest, t, normal_ds)
         assert np.array_equal(np.sort(order), np.arange(normal_ds.n_rows))
+
+
+@pytest.mark.parametrize("kind, ndim", [("single", 1), ("extended", 2)], ids=["single", "extended"])
+def test_descend_returns_triples_in_node_order(kind, ndim):
+    ds = generate_scenario("mixed", 80, np.random.default_rng(3))["dataset"]
+    forest = fit_forest(ds, ForestParams(n_trees=4, seed=5, ndim=ndim, model_kind=kind))
+    # A probe with missing cells and, in every third categorical cell, a
+    # label the model never saw.
+    cols = []
+    for c in ds.take(np.arange(24)).columns:
+        if c.kind == "categorical":
+            codes = c.values.copy()
+            codes[::3] = len(c.labels)
+            c = Column(c.kind, codes, c.missing, c.labels + ["unseen"])
+        cols.append(c)
+    probe = remap_dataset(forest, Dataset(cols, list(ds.names)))
+    assert any(c.missing.any() for c in probe.columns)
+    for weighted, every_node in ((False, False), (True, False), (True, True)):
+        rows, nodes, w = descend(forest.flat, probe, range(4), weighted, every_node)
+        assert (np.diff(nodes) >= 0).all()
+        # The same triples as each row descending alone.
+        got = list(zip(rows.tolist(), nodes.tolist(), [None] * len(rows) if w is None
+                       else w.tolist()))
+        alone = []
+        for i in range(probe.n_rows):
+            _, v, x = descend(forest.flat, probe.take([i]), range(4), weighted, every_node)
+            alone += zip([i] * len(v), v.tolist(), [None] * len(v) if x is None else x.tolist())
+        assert len(set(got)) == len(got)
+        assert set(got) == set(alone)
 
 
 def trees_summed_with_weights(monkeypatch, forest, ds):

@@ -18,8 +18,10 @@ metric whose NEW median is worse than BASE's by more than its bound from
 BENCHMARK.json (bound x BASE's median) is marked "worse past bound", and
 one whose BASE interquartile range is wider than that bound is marked
 "unresolved", unless every NEW run is better than every BASE run: its
-spread cannot tell a change within the bound from none.  The last line
-is the same report as one JSON object, with every run's value.  The
+spread cannot tell a change within the bound from none.  It also prints
+the lines added and removed under src/ and tests/ from BASE to NEW, as
++added/-removed (net), from `git diff --numstat`.  The last line is the
+same report as one JSON object, with every run's value.  The
 worktrees are removed at the end.
 Run it from anywhere inside the repository.
 """
@@ -39,6 +41,19 @@ ROOT = Path(__file__).resolve().parent.parent
 def git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def line_counts(base: str, new: str) -> dict:
+    """Lines added and removed under src/ and tests/ from `base` to `new`,
+    and their net change, by `git diff --numstat` (binary files count 0)."""
+    counts = {}
+    for path in ("src", "tests"):
+        numstat = [line.split("\t")[:2]
+                   for line in git("diff", "--numstat", base, new, "--", path).splitlines()]
+        added = sum(int(a) for a, _ in numstat if a != "-")
+        removed = sum(int(r) for _, r in numstat if r != "-")
+        counts[path] = {"added": added, "removed": removed, "net": added - removed}
+    return counts
 
 
 def summarize(values: list[float]) -> dict:
@@ -139,7 +154,8 @@ def main(argv=None) -> int:
         git("worktree", "prune")
 
     report = {"base": revs["base"], "new": revs["new"], "pairs": args.pairs,
-              "seconds": args.seconds, "workloads": {}}
+              "seconds": args.seconds, "lines": line_counts(revs["base"], revs["new"]),
+              "workloads": {}}
     for w, sides in metrics.items():
         report["workloads"][w] = {
             name: compare(sides["base"][name], sides["new"][name], better.get(name, "lower"),
@@ -148,6 +164,8 @@ def main(argv=None) -> int:
         }
     print(f"base {revs['base'][:10]}  new {revs['new'][:10]}  "
           f"{args.pairs} pairs x {args.seconds:g} s")
+    print("lines " + "  ".join(f"{path}/ +{c['added']}/-{c['removed']} ({c['net']:+d})"
+                               for path, c in report["lines"].items()))
     for w, rows in report["workloads"].items():
         print(w)
         for name, r in rows.items():
