@@ -21,18 +21,19 @@ and pre-order within a tree; every sum here reads them in that order.
   missing cells or categories a node never saw) takes the leaf-order
   kernel.  An unweighted descent gives each row the node where it ends;
   in node order, the rows are in leaf order, in which every node's
-  rows form one block [s, e), found by `searchsorted` against the node
-  ids and their subtree ends.  Only the strict upper triangle of an n x n
+  rows form one block [s, e), read off one cumulative count of the rows
+  ending at each node.  Only the strict upper triangle of an n x n
   scratch is filled: a terminal at depth d fills its block's with d + 3, a
   split at depth d the block [s, m) x [m, e) between its children with
-  d + 1, so each upper cell is written once and the rest stays 0.  The
-  scratch is gathered out of leaf order into an integer accumulator,
-  where each tree adds a pair's depth to one of the pair's two cells; the
-  two are added while the condensed result is built.  The scratch has
-  byte cells when the forest's deepest node's depth + 3 fits in one,
-  int32 cells otherwise.  The accumulator has int32 cells while the trees
-  times that depth fit in one, int64 cells otherwise, so no sum wraps.
-  Trees are routed in batches of about ROUTE_TRIPLES triples per level.
+  d + 1, so each upper cell is written once and the rest stays 0.  A
+  row gather, a transposed copy and a second row gather take the scratch
+  out of leaf order, transposed, into an integer accumulator, where each
+  tree adds a pair's depth to one of the pair's two cells; the two are
+  added while the condensed result is built.  The scratch has byte cells when the
+  forest's deepest node's depth + 3 fits in one, int32 cells otherwise.
+  The accumulator has int32 cells while the trees times that depth fit
+  in one, int64 cells otherwise, so no sum wraps.  Trees are routed in
+  batches of about ROUTE_TRIPLES triples per level.
 * Any other tree is summed with weights, as the sparse product
   M diag(c) M^T (the proximity product of RF-GAP, Rhodes, Cutler and Moon,
   arXiv:2201.12682): M holds the weight with which each row reaches each
@@ -177,15 +178,19 @@ def _tree_sums(forest: Forest, ds: Dataset) -> np.ndarray:
         # node's rows form one block.
         rows, ends, _ = descend(flat, ds, trees, False)
         for k, t in enumerate(trees):
+            root = flat.roots[t]
             keys = ends[k * n : (k + 1) * n]
-            ids = np.arange(flat.roots[t], flat.roots[t + 1])
-            s = np.searchsorted(keys, ids)
-            e = np.searchsorted(keys, flat.end[ids])
+            # before[i] rows end before local node i: node i's rows are
+            # the block [before[i], before[end[i]]).
+            before = np.zeros(flat.roots[t + 1] - root + 1, dtype=np.intp)
+            np.cumsum(np.bincount(keys - root, minlength=len(before) - 1), out=before[1:])
+            ids = np.arange(root, flat.roots[t + 1])
+            s, e = before[:-1], before[flat.end[ids] - root]
             shared = e - s >= 2
             # A row some other row reaches a split with, that the split
             # cannot place, needs both-branch weights: the weighted path.
             stops = keys[flat.kind[keys] != TERMINAL]
-            if shared[stops - flat.roots[t]].any():
+            if shared[stops - root].any():
                 if sums is None:
                     sums = np.zeros((n, n))
                 _add_weighted(flat, t, ds, sums)
@@ -206,15 +211,20 @@ def _tree_sums(forest: Forest, ds: Dataset) -> np.ndarray:
                 for a in range(s_, e_ - 1):
                     leaf[a, a + 1 : e_] = d_ + 3
             split = ~term
-            m = np.searchsorted(keys, flat.end[ids[split] + 1])
+            m = before[flat.end[ids[split] + 1] - root]
             for s_, m_, e_, d_ in zip(s[split].tolist(), m.tolist(), e[split].tolist(),
                                       d[split].tolist()):
                 leaf[s_:m_, m_:e_] = d_ + 1
+            # Out of leaf order, rows then columns: a row gather, a
+            # transposed copy and a second row gather give the transpose
+            # of `leaf` out of leaf order, which the condensing pass reads
+            # alike.
             inv = np.empty(n, dtype=np.intp)
             inv[rows[k * n : (k + 1) * n]] = np.arange(n)
             np.take(leaf, inv, axis=0, out=scratch)
-            np.take(scratch, inv, axis=1, out=leaf)
-            counts += leaf
+            np.copyto(leaf, scratch.T)
+            np.take(leaf, inv, axis=0, out=scratch)
+            counts += scratch
     if counts is None:
         return _upper(sums)
     # A pair's two integer cells add exactly, a row slice at a time; float

@@ -11,7 +11,9 @@ Two tree families:
   numeric coefficients are Normal(0,1) scaled by the node-local standard
   deviation, each present category of a categorical variable gets its own
   Normal(0,1) coefficient, and missing cells contribute the median of the
-  observed contributions, so every row routes deterministically.
+  observed contributions, so every row routes deterministically.  Where a
+  numeric coefficient would overflow (cells near the bottom of the float
+  range), all of the hyperplane's terms are shifted by one power of two.
 
 Each tree grows from its own RNG stream spawned from (seed, tree index),
 so a tree does not depend on the trees grown before it; its subsample is
@@ -20,7 +22,9 @@ subsample cells) one depth level at a time, in one loop for all of them.
 A level's nodes are those of every tree, sorted by (tree, node), and its
 rows (with the both-branch copies and their weights) stay sorted by the
 node they reach, so eligible columns, ranges, weight sums and hyperplane
-medians are segment reductions over all of the level's nodes at once.
+medians are segment reductions over all of the level's nodes at once.  A
+single-variable level ranges only the columns it reaches in key order
+(`_least_key_column`), a hyperplane level every column.
 Each level draws its random numbers in blocks: uniform keys choosing each
 node's columns, drawn once in `_grow` for either split kind, then
 hyperplane coefficients, thresholds or category coins, and again only for
@@ -318,25 +322,56 @@ def _branch(rows, w, left, right, to_left, to_right, b):
     return rows, child, w
 
 
-def _split_single(X, miss, n_labels, rows, seg, lo, hi, keys, owner, rngs):
+def _least_key_column(X, rows, seg, starts, keys):
+    """Per segment of rows (segment s holds the rows from starts[s]), the
+    eligible column with the least key, ranging only the columns it must:
+    each segment's column with the least key first, then, for the
+    segments where that column holds < 2 distinct known values, the next
+    by key, and so on.  X holds +inf at the missing cells; known cells are
+    finite.  Returns (var, lo, hi, cells): each segment's column and the
+    least and greatest known value in it (lo >= hi where no column is
+    eligible), and each row's cell of X in its segment's column.  Ties in
+    keys go to the lower column, as np.argmin breaks them."""
+    n_seg, n_cols = keys.shape
+    by_key = np.argsort(keys, axis=1, kind="stable")
+    count = np.diff(starts, append=len(rows))
+    var = np.empty(n_seg, dtype=by_key.dtype)
+    lo, hi = np.empty(n_seg), np.empty(n_seg)
+    cells = np.empty(len(rows))
+    todo, at = np.arange(n_seg), slice(None)  # at: the rows of the segments todo
+    for rank in range(n_cols):
+        var[todo] = by_key[todo, rank]
+        cells[at] = got = X.ravel()[rows[at] * n_cols + var[seg[at]]]
+        begin = np.cumsum(count[todo]) - count[todo]
+        lo[todo] = np.minimum.reduceat(got, begin)
+        hi[todo] = np.maximum.reduceat(np.where(got < np.inf, got, -np.inf), begin)
+        again = lo[todo] >= hi[todo]
+        if not again.any():
+            break
+        at = np.arange(len(rows))[at][np.repeat(again, count[todo])]
+        todo = todo[again]
+    return var, lo, hi, cells
+
+
+def _split_single(n_labels, seg, var, lo, hi, x, owner, rngs):
     """Draw a single-variable split for each segment of rows, segment s
-    from the stream of tree owner[s], on its column with the least key
-    (lo, hi, keys: see `_grow`).  Returns (ok, split, left, right): ok
-    marks the segments that got a split, `split` holds the stored fields
-    of those splits by name (see STORED), and left/right mark the rows
-    each sends that way; a row in neither goes down both branches."""
-    n_seg, n_cols = len(lo), X.shape[1]
-    var = np.argmin(keys, axis=1)
-    s = np.arange(n_seg)
-    ok = lo[s, var] < hi[s, var]
+    from the stream of tree owner[s], on its column var[s], whose known
+    values range over [lo[s], hi[s]]; x holds each row's cell in its
+    segment's column, +inf where missing (see `_least_key_column`).
+    Returns (ok, split, left, right): ok marks the segments that got a
+    split, `split` holds the stored fields of those splits by name (see
+    STORED), and left/right mark the rows each sends that way; a row in
+    neither goes down both branches."""
+    n_seg = len(lo)
+    ok = lo < hi
     cat = n_labels[var] > 0
     thr = np.full(n_seg, np.nan)
     num = np.flatnonzero(ok & ~cat)
-    thr[num] = _thresholds(rngs, owner[num], lo[num, var[num]], hi[num, var[num]])
+    thr[num] = _thresholds(rngs, owner[num], lo[num], hi[num])
     ok[num] = ~np.isnan(thr[num])
-    at = rows * n_cols + var[seg]
-    x, known = X.ravel()[at], ~miss.ravel()[at]
-    left = known & (x <= thr[seg])
+    # Known cells are finite, so a missing one (+inf) is never <= thr.
+    known = x < np.inf
+    left = x <= thr[seg]
     cats = np.flatnonzero(ok & cat)
     sides = np.zeros((0, 2, max(1, int(n_labels.max()))), dtype=bool)
     if len(cats):
@@ -394,23 +429,42 @@ def _split_hyperplane(X, miss, n_labels, rows, seg, starts, lo, hi, keys, owner,
     cat_owner = np.broadcast_to(term_owner[cat][:, None], present.shape)
     cat_coef[present] = _draw(rngs, cat_owner[present], normal=True)
 
-    y = np.zeros(len(rows))
-    impute = np.zeros(terms.shape)
-    s = np.arange(n_seg)
+    # A numeric coefficient is Normal(0, 1) over scale * sd, the sd of the
+    # segment's known cells scaled by their largest magnitude, so that
+    # their squares neither overflow nor vanish; the largest scales to
+    # +-1, so the sd is > 0.
+    s = np.arange(n_seg)[:, None]
+    scale = np.where(num, np.maximum(-lo[s, var], hi[s, var]), 1.0)
+    sd = np.ones(terms.shape)
     for t, (x, known) in enumerate(cells):
-        # A numeric coefficient is Normal(0, 1) over the sd of the
-        # segment's known cells.  The cells are scaled by their largest
-        # magnitude first, so their squares neither overflow nor vanish;
-        # the largest scales to +-1, so the sd is > 0.
         k = known & num[seg, t]
         sk = seg[k]
-        scale = np.maximum(-lo[s, var[:, t]], hi[s, var[:, t]])
-        xs = x[k] / scale[sk]
+        xs = x[k] / scale[sk, t]
         n_known = np.maximum(1, np.bincount(sk, minlength=n_seg))
         dev = xs - (np.bincount(sk, weights=xs, minlength=n_seg) / n_known)[sk]
         sd2 = np.bincount(sk, weights=dev * dev, minlength=n_seg) / n_known
-        m = num[:, t]
-        coef[m, t] /= scale[m] * np.sqrt(sd2[m])
+        sd[:, t] = np.where(num[:, t], np.sqrt(sd2), 1.0)
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = coef / (scale * sd)
+    if not np.isfinite(ratio).all():
+        huge = np.flatnonzero(~np.isfinite(ratio).all(axis=1))
+        # Near the bottom of the float range that overflows.  Scaling all
+        # of a hyperplane's terms by one power of two leaves its routing
+        # as it is, so there every term is shifted by 2^-E, E the largest
+        # numeric coefficient's binary exponent; the categorical ones,
+        # Normal(0, 1), lie far below it.
+        (ms, es), (md, ed) = np.frexp(scale[huge]), np.frexp(sd[huge])
+        q = coef[huge] / (ms * md)
+        exp = np.where(num[huge], np.frexp(q)[1] - es - ed, np.iinfo(np.int32).min)
+        top = exp.max(axis=1, keepdims=True)
+        ratio[huge] = np.ldexp(q, -es - ed - top)
+        at = cat[huge]
+        rows_of = term_id[huge][at]
+        cat_coef[rows_of] = np.ldexp(cat_coef[rows_of], -np.broadcast_to(top, at.shape)[at][:, None])
+    coef = ratio
+    y = np.zeros(len(rows))
+    impute = np.zeros(terms.shape)
+    for t, (x, known) in enumerate(cells):
         term = coef[seg, t] * x
         c = known & cat[seg, t]
         term[c] = cat_coef[term_id[seg[c], t], x[c].astype(np.intp)]
@@ -443,7 +497,8 @@ def _split_hyperplane(X, miss, n_labels, rows, seg, starts, lo, hi, keys, owner,
 def _grow(X, miss, n_labels, idxs, rngs, params: ForestParams):
     """Grow one tree per subsample in `idxs` on the cells (X, miss), tree
     t from the stream rngs[t], all one depth level at a time; returns
-    their stored fields as `_preorder` does.
+    their stored fields as `_preorder` does.  For a single-variable model
+    X holds +inf at the missing cells.
 
     A level's nodes are those of every tree, sorted by (tree, node), and
     its rows are kept sorted by the node they reach: a single-variable
@@ -482,16 +537,15 @@ def _grow(X, miss, n_labels, idxs, rngs, params: ForestParams):
         seg = (np.cumsum(cand) - 1)[node]
         starts = np.cumsum(count[cand]) - count[cand]
         owner = tree[cand]
-        lo, hi = _ranges(X[rows], ~miss[rows], starts)
-        # Uniform keys, 2.0 at the columns that cannot split: the first
-        # eligible columns in a uniform order are uniform among them.
-        keys = _draw(rngs, np.repeat(owner, X.shape[1])).reshape(lo.shape)
-        keys[lo >= hi] = 2.0
+        # Uniform keys: the first eligible columns in a uniform order are
+        # uniform among them.
+        keys = _draw(rngs, np.repeat(owner, X.shape[1])).reshape(len(owner), X.shape[1])
         if weighted:
-            ok, split, left, right = _split_single(
-                X, miss, n_labels, rows, seg, lo, hi, keys, owner, rngs
-            )
+            var, lo, hi, x = _least_key_column(X, rows, seg, starts, keys)
+            ok, split, left, right = _split_single(n_labels, seg, var, lo, hi, x, owner, rngs)
         else:
+            lo, hi = _ranges(X[rows], ~miss[rows], starts)
+            keys[lo >= hi] = 2.0  # the columns that cannot split come last
             ok, split, left, right = _split_hyperplane(
                 X, miss, n_labels, rows, seg, starts, lo, hi, keys, owner, rngs, params.ndim
             )
@@ -500,8 +554,10 @@ def _grow(X, miss, n_labels, idxs, rngs, params: ForestParams):
         rank = (np.cumsum(ok) - 1)[seg[on]]
         b = None
         if weighted:
-            wl = np.bincount(seg[left], weights=w[left], minlength=len(ok))[ok]
-            wr = np.bincount(seg[right], weights=w[right], minlength=len(ok))[ok]
+            # Adding +0.0 for the rows sent the other way leaves each sum
+            # as it is.
+            wl = np.bincount(seg, weights=np.where(left, w, 0.0), minlength=len(ok))[ok]
+            wr = np.bincount(seg, weights=np.where(right, w, 0.0), minlength=len(ok))[ok]
             split["left_fraction"] = wl / (wl + wr)
             w, b = w[on], split["left_fraction"][rank]
         for name, value in split.items():
@@ -576,6 +632,8 @@ def fit_forest(ds: Dataset, params: ForestParams, threads: int = 1) -> Forest:
     lo, hi = _ranges(X, ~miss, [0])
     if not (lo < hi).any():
         raise FitError("no column has >= 2 distinct non-missing values")
+    if params.model_kind == "single":
+        X[miss] = np.inf  # what `_least_key_column` reads a missing cell as
     n_sub = ds.n_rows if params.subsample is None else min(params.subsample, ds.n_rows)
     schema = [
         {"name": name, "kind": c.kind, "labels": c.labels}

@@ -45,6 +45,7 @@ def test_head_against_head_reports_every_metric(tmp_path):
         assert r["base"]["q1"] == r["base"]["median"] == r["base"]["q3"], name
         assert r["beyond_bound"] in (True, False), name
         assert r["unresolved"] is False, name  # one run: no spread
+        assert r["gain"] in (True, False), name
         assert name in proc.stdout.split("\n", 1)[1]
     # The same code, the same seed: the same memory to within a few MB.
     assert 0.9 < rows["peak_rss_mb"]["ratio"] < 1.1
@@ -91,6 +92,26 @@ def test_compare_marks_a_metric_unresolved_when_base_spreads_past_its_bound():
     assert ab.compare(base, [0.7] * 5, "lower", 0.25)["unresolved"] is True
     assert ab.compare(base, [1.4] * 5, "higher", 0.25)["unresolved"] is False
     assert ab.compare(base, [1.3] * 5, "higher", 0.25)["unresolved"] is True
+
+
+def test_compare_shows_a_gain_only_past_nine_of_ten_wins_and_the_base_spread():
+    ab = load_ab()
+    # Base quartiles 0.95 and 1.05: a spread of 0.1.
+    base = [0.9, 0.95, 0.95, 1.0, 1.0, 1.0, 1.0, 1.05, 1.05, 1.1]
+    # Better in every pair, the median 0.2 below: a gain.
+    r = ab.compare(base, [x - 0.2 for x in base], "lower", 0.25)
+    assert r["wins"] == 10 and r["gain"] is True
+    # Better in every pair, but the median only 0.05 below: within the
+    # base's spread.
+    assert ab.compare(base, [x - 0.05 for x in base], "lower", 0.25)["gain"] is False
+    # The median 0.2 below, but better in 8 of 10 pairs only.
+    worse_twice = [x - 0.2 for x in base[:8]] + [x + 0.2 for x in base[8:]]
+    r = ab.compare(base, worse_twice, "lower", 0.25)
+    assert r["wins"] == 8 and r["gain"] is False
+    # 9 of 10 is enough; higher-is-better metrics gain upwards.
+    assert ab.compare(base, [x - 0.2 for x in base[:9]] + [2.0], "lower")["gain"] is True
+    assert ab.compare(base, [x + 0.2 for x in base], "higher")["gain"] is True
+    assert ab.compare(base, [x - 0.2 for x in base], "higher")["gain"] is False
 
 
 def test_a_run_without_output_stops_with_a_message(monkeypatch, tmp_path):

@@ -356,6 +356,45 @@ def test_extended_std_overflow_still_splits():
     assert not np.all(values == 0.5)
 
 
+def near_the_float_floor(name):
+    """A table whose extended nodes reach scale * sd below about 1e-308,
+    where Normal(0, 1) / (scale * sd) overflows: the geometric column
+    across the whole float range, or a subnormal column beside a
+    categorical one, so that the overflowing hyperplanes hold categorical
+    terms too."""
+    if name == "geometric":
+        return numeric_dataset([2.0 ** np.linspace(-1070, 1020, 3000)])
+    codes = np.random.default_rng(0).integers(0, 3, 200)
+    return Dataset([Column("numeric", 2.0 ** np.linspace(-1072, -1030, 200), np.zeros(200, bool)),
+                    Column("categorical", codes, np.zeros(200, bool), ["a", "b", "c"])])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("table", ["geometric", "subnormal and categorical"])
+def test_extended_coefficients_near_the_float_floor_stay_finite(tmp_path, table, seed):
+    # A hyperplane whose coefficient would overflow has all its terms
+    # shifted by one power of two, so it still splits its rows: every
+    # terminal holds one row here, or two (the 200-row table), where
+    # their projections round together at subnormal scale.  Unshifted, a
+    # terminal held 63-66 rows of the geometric column.
+    ds = near_the_float_floor(table)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        forest = fit_forest(ds, ForestParams(n_trees=1, seed=seed, model_kind="extended", ndim=2))
+        flat = forest.flat
+        assert flat.size[flat.kind == TERMINAL].max() <= 2
+        assert np.isfinite(flat.num_coef).all() and np.isfinite(flat.value).all()
+        if table != "geometric":
+            # The categorical terms of the shifted hyperplanes went subnormal.
+            shifted = np.nanmax(np.abs(flat.cat_coef), axis=1) < 1e-300
+            assert shifted.any() and (np.nanmax(np.abs(flat.cat_coef), axis=1) > 0).all()
+        save_model(forest, tmp_path / "model.npz")
+        loaded = load_model(tmp_path / "model.npz")
+        for got, want in zip(descend(loaded.flat, ds, range(1), False),
+                             descend(flat, ds, range(1), False)):
+            assert np.array_equal(got, want)
+
+
 def test_affine_equivariant_structure(normal_ds):
     transformed = numeric_dataset(
         [100.0 * c.values + 7.0 for c in normal_ds.columns]
@@ -1034,9 +1073,52 @@ def test_segment_medians_match_np_median(counts):
             assert np.isnan(got[s])
 
 
-# On the subnormal end of the geometric column an extended node's
-# coefficient, Normal(0, 1) / (scale * sd), overflows to inf.
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+# Columns for the eligible-column walk: each makes a column of `n` cells
+# (values, missing mask) from a generator.
+WALK_COLUMNS = {
+    "numeric with missing cells": lambda r, n: (r.integers(-2, 3, n) * 0.5, r.random(n) < 0.3),
+    "constant": lambda r, n: (np.full(n, 1.5), np.zeros(n, bool)),
+    "constant with missing cells": lambda r, n: (np.full(n, -2.0), r.random(n) < 0.5),
+    "all missing": lambda r, n: (np.zeros(n), np.ones(n, bool)),
+    "one present label": lambda r, n: (np.full(n, 2.0), r.random(n) < 0.4),
+    "labels with missing cells": lambda r, n: (r.integers(0, 3, n).astype(float),
+                                               r.random(n) < 0.2),
+}
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1),
+       columns=st.lists(st.sampled_from(sorted(WALK_COLUMNS)), min_size=1, max_size=5),
+       sizes=st.lists(st.integers(2, 5), min_size=1, max_size=8),
+       tied=st.booleans())
+def test_least_key_column_matches_a_full_range_argmin(seed, columns, sizes, tied):
+    # The walk ranges only the columns it reaches; it must pick the same
+    # column and range as reducing every column and taking the least key
+    # among those with >= 2 distinct known values.
+    rng = np.random.default_rng(seed)
+    n = 12
+    X, miss = (np.stack(c, axis=1) for c in zip(*(WALK_COLUMNS[c](rng, n) for c in columns)))
+    rows = rng.integers(0, n, sum(sizes))
+    starts = np.cumsum(sizes) - sizes
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    keys = rng.random((len(sizes), len(columns)))
+    if tied:  # ties go to the lower column
+        keys = np.round(keys, 1)
+    low = np.where(miss, np.inf, X)
+    var, lo, hi, cells = forest_mod._least_key_column(low, rows, seg, starts, keys)
+
+    want_lo, want_hi = forest_mod._ranges(X[rows], ~miss[rows], starts)
+    ranked = np.where(want_lo < want_hi, keys, 2.0)
+    want = np.argmin(ranked, axis=1)
+    ok = ranked.min(axis=1) < 2.0
+    assert np.array_equal(lo < hi, ok)
+    s = np.flatnonzero(ok)
+    assert np.array_equal(var[s], want[s])
+    assert np.array_equal(lo[s], want_lo[s, want[s]])
+    assert np.array_equal(hi[s], want_hi[s, want[s]])
+    assert np.array_equal(cells, low[rows, var[seg]])
+
+
 def test_tree_deeper_than_the_recursion_limit(tmp_path):
     # A uniform threshold on a geometric column mostly splits off the top
     # row, so the tree is about as deep as the column is long.
@@ -1085,9 +1167,6 @@ def model_digest(forest, path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# On the subnormal end of the geometric column an extended node's
-# coefficient, Normal(0, 1) / (scale * sd), overflows to inf.
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
 @pytest.mark.parametrize("kind, ndim", [("single", 1), ("extended", 2)], ids=["single", "extended"])
 @pytest.mark.parametrize("table", ["complete", "missing cells", "unseen codes", "mixed max_depth",
                                    "mixed subsample", "deeper than the recursion limit"])
@@ -1134,13 +1213,10 @@ FOREST_DIGESTS = {
     ("deeper than the recursion limit", "single"):
         "166373d14c7a56a3b6b2ec60b1ceeeef6398fedfe30fd763d96fea7c45cfa573",
     ("deeper than the recursion limit", "extended"):
-        "a9d0e82598e3777db0d8307d99415e050cdeb212e174ff7321213802ed336ac5",
+        "70f56f9fe57a2c02de1f678c2fcd47275cd8728a669e4cf80c922414b1a4941c",
 }
 
 
-# On the subnormal end of the geometric column an extended node's
-# coefficient, Normal(0, 1) / (scale * sd), overflows to inf.
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
 @pytest.mark.parametrize("kind, ndim", [("single", 1), ("extended", 2)], ids=["single", "extended"])
 @pytest.mark.parametrize("table", ["complete", "missing cells", "unseen codes", "mixed max_depth",
                                    "mixed subsample", "deeper than the recursion limit"])

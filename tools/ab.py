@@ -18,7 +18,10 @@ metric whose NEW median is worse than BASE's by more than its bound from
 BENCHMARK.json (bound x BASE's median) is marked "worse past bound", and
 one whose BASE interquartile range is wider than that bound is marked
 "unresolved", unless every NEW run is better than every BASE run: its
-spread cannot tell a change within the bound from none.  It also prints
+spread cannot tell a change within the bound from none.  A metric is
+marked "gain" when NEW is better in at least 9 of 10 pairs and its
+median is better than BASE's by more than BASE's interquartile range,
+the rule a claimed gain must meet.  It also prints
 the lines added and removed under src/ and tests/ from BASE to NEW, as
 +added/-removed (net), from `git diff --numstat`.  The last line is the
 same report as one JSON object, with every run's value.  The
@@ -66,15 +69,19 @@ def summarize(values: list[float]) -> dict:
 
 
 def compare(base: list[float], new: list[float], better: str, bound: float | None = None) -> dict:
-    """One metric's report over pairs (base[i], new[i]).  With a `bound`,
-    `beyond_bound` says whether the new median is worse than the base
-    median by more than bound x the base median, and `unresolved` whether
-    the base quartiles lie further apart than that, with some new run no
-    better than some base run; both None without a bound."""
+    """One metric's report over pairs (base[i], new[i]).  `gain` says
+    whether new is better in at least 9 of 10 pairs and its median better
+    than the base median by more than the base's q3 - q1.  With a
+    `bound`, `beyond_bound` says whether the new median is worse than the
+    base median by more than bound x the base median, and `unresolved`
+    whether the base quartiles lie further apart than that, with some new
+    run no better than some base run; both None without a bound."""
     a, b = summarize(base), summarize(new)
     ratios = [y / x for x, y in zip(base, new) if x]
     wins = sum((y < x) if better == "lower" else (y > x) for x, y in zip(base, new))
     outside = b["median"] < a["q1"] if better == "lower" else b["median"] > a["q3"]
+    step = a["median"] - b["median"] if better == "lower" else b["median"] - a["median"]
+    gain = 10 * wins >= 9 * len(base) and step > a["q3"] - a["q1"]
     worse = unresolved = None
     if bound is not None:
         slack = bound * a["median"]
@@ -83,7 +90,7 @@ def compare(base: list[float], new: list[float], better: str, bound: float | Non
         clear = max(new) < min(base) if better == "lower" else min(new) > max(base)
         unresolved = a["q3"] - a["q1"] > slack and not clear
     return {"base": a, "new": b, "ratio": statistics.median(ratios) if ratios else None,
-            "wins": wins, "pairs": len(base), "beyond_quartiles": outside,
+            "wins": wins, "pairs": len(base), "beyond_quartiles": outside, "gain": gain,
             "beyond_bound": worse, "unresolved": unresolved, "runs": {"base": base, "new": new}}
 
 
@@ -175,6 +182,7 @@ def main(argv=None) -> int:
                   f"{b['median']:11.5g} [{b['q1']:.5g}, {b['q3']:.5g}]  ratio {ratio}  "
                   f"better {r['wins']}/{r['pairs']}"
                   + ("  beyond base quartiles" if r["beyond_quartiles"] else "")
+                  + ("  gain" if r["gain"] else "")
                   + ("  worse past bound" if r["beyond_bound"] else "")
                   + ("  unresolved" if r["unresolved"] else ""))
     print(json.dumps(report))
