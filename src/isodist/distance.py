@@ -22,15 +22,16 @@ and pre-order within a tree; every sum here reads them in that order.
   kernel.  An unweighted descent gives each row the node where it ends;
   in node order, the rows are in leaf order, in which every node's
   rows form one block [s, e), read off one cumulative count of the rows
-  ending at each node.  Only the strict upper triangle of an n x n
-  scratch is filled: a terminal at depth d fills its block's with d + 3, a
-  split at depth d the block [s, m) x [m, e) between its children with
-  d + 1, so each upper cell is written once and the rest stays 0.  A
-  row gather, a transposed copy and a second row gather take the scratch
-  out of leaf order, transposed, into an integer accumulator, where each
+  ending at each node.  `_pair_rows` lays a tree's pair depths out as an
+  n x n array, rows in table order and columns in leaf order, with one
+  `np.repeat` over runs of equal depth, and one slice per split for the
+  few largest splits of a deep tree, so that the runs stay within some
+  20 n.  `_finish` takes it out of leaf order by a tiled transposed copy
+  and a row gather and adds it into an integer accumulator, where each
   tree adds a pair's depth to one of the pair's two cells; the two are
-  added while the condensed result is built.  The scratch has byte cells when the
-  forest's deepest node's depth + 3 fits in one, int32 cells otherwise.
+  added while the condensed result is built.  The per-tree arrays have
+  byte cells when the forest's deepest node's depth + 3 fits in one,
+  int32 cells otherwise.
   The accumulator has int32 cells while the trees times that depth fit
   in one, int64 cells otherwise, so no sum wraps.  Trees are routed in
   batches of about ROUTE_TRIPLES triples per level.
@@ -44,16 +45,17 @@ and pre-order within a tree; every sum here reads them in that order.
   so that the kernel path and scoring run on numpy alone.
 
 Trees are summed one after another into one set of accumulators: an
-integer n x n accumulator and two n x n scratch blocks at the forest's
-widths, allocated on the first kernel tree, plus a float64 n x n
-accumulator once a tree takes the weighted path, whose sparse product
-then holds at most one block of BLOCK_CELLS cells (or of one row) as
-sparse and dense values.  Only the n(n-1)/2 upper cells become float64,
-at the end, where the float sums are added to the integer sums.  Before
-allocating, `separation_matrix` estimates these arrays (14 or 20 bytes
-per n x n cell with an int32 accumulator, 18 or 24 with int64), the
-block and the float64 result; if that exceeds the memory available to
-the process it raises `FitError` naming both byte counts.  A weighted
+integer n x n accumulator and an n x n scratch at the forest's cell
+width, allocated on the first kernel tree, beside one kernel tree's n x n
+array, plus a float64 n x n accumulator once a tree takes the weighted
+path, whose sparse product then holds at most one block of BLOCK_CELLS
+cells (or of one row) as sparse and dense values.  Only the n(n-1)/2
+upper cells become float64, at the end, where the float sums are added
+to the integer sums a row at a time, and are standardized in place.
+Before allocating, `separation_matrix` estimates these arrays (14 or 20
+bytes per n x n cell with an int32 accumulator, 18 or 24 with int64),
+the block and the float64 result; if that exceeds the memory available
+to the process it raises `FitError` naming both byte counts.  A weighted
 tree's sparse M is checked the same way once the tree is routed, before
 M is built (24 bytes an entry, for M and its transpose).
 
@@ -157,17 +159,114 @@ def _sum_type(flat: FlatForest) -> type:
     return np.int32 if n_trees * (int(flat.depth.max()) + 3) <= INT32_MAX else np.int64
 
 
+def _pair_rows(flat: FlatForest, t: int, ends: np.ndarray, order: np.ndarray,
+               cell: type) -> np.ndarray | None:
+    """Tree t's pair depths as an n x n array of `cell` type, or None
+    when the tree needs the weighted path.  Row i is table row i and the
+    columns are in the tree's leaf order: cell (i, c) holds row i's depth
+    with the row at leaf position c when c comes after row i's own, and 0
+    otherwise.
+
+    `ends` holds the node where each row ends, in the tree's leaf order,
+    and `order` the table row at each leaf position.  In leaf order two
+    rows that share a terminal at depth d have pair depth d + 3, and two
+    that a split at depth d parts, the one in its left block [s, m) and
+    the other in its right block [m, e), have d + 1.  So leaf row a's
+    cells are runs: 0 over columns [0, a], d + 3 over the later rows of
+    its terminal, and d + 1 over the right block of each split where a
+    goes left.  Sorted by (table row, start), one `np.repeat` lays them
+    out.
+
+    A split makes one run per row of its left block: about 8 n runs on a
+    1000-row t4 tree, but up to n^2 / 2 on a deep one whose splits peel
+    off a row or two at a time.  So the splits with the smallest left
+    blocks make runs, 16 n of them at most, and the others are filled one
+    slice each after the repeat.  Up a row's tree its left blocks grow,
+    and the right blocks of the splits where it goes left follow one
+    another up to column n, so its sliced blocks take one zero run
+    [z, n).  The runs' arrays thus hold at most 19 n runs of about 60
+    bytes."""
+    n = len(ends)
+    root = flat.roots[t]
+    # before[i] rows end before local node i: node i's rows are the block
+    # [before[i], before[end[i]]).
+    before = np.zeros(flat.roots[t + 1] - root + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ends - root, minlength=len(before) - 1), out=before[1:])
+    ids = np.arange(root, flat.roots[t + 1])
+    shared = before[flat.end[ids] - root] - before[:-1] >= 2
+    # A row some other row reaches a split with, that the split cannot
+    # place, needs both-branch weights: the weighted path.
+    stops = ends[flat.kind[ends] != TERMINAL]
+    if shared[stops - root].any():
+        return None
+    split = ids[shared & (flat.kind[ids] != TERMINAL)]
+    s, e = before[split - root], before[flat.end[split] - root]
+    m = before[flat.end[split + 1] - root]
+    # Rows of each split's left block that meet a right block there.  Past
+    # 16 n in all, the splits are sliced from the least left block size at
+    # which the sizes, added smallest first, pass 16 n.
+    left = np.where(m < e, m - s, 0)
+    sliced = np.zeros(len(split), dtype=bool)
+    if left.sum() > 16 * n:
+        size = np.sort(left)
+        sliced = left >= size[np.searchsorted(np.cumsum(size), 16 * n, side="right")]
+        left[sliced] = 0
+    # z[a] is where leaf row a's sliced blocks start: in pre-order a row's
+    # lowest sliced split, with the least m, comes last.
+    z = np.full(n, n)
+    for s_, m_ in zip(s[sliced].tolist(), m[sliced].tolist()):
+        z[s_:m_] = m_
+    tail = np.flatnonzero(z < n)
+    # One run per (split k, row a) of the other splits.
+    k = np.repeat(np.arange(len(split)), left)
+    a = np.arange(len(k)) - np.repeat(np.cumsum(left) - left - s, left)
+    pos = np.arange(n)
+    stop = before[flat.end[ends] - root]  # the end of each row's terminal block
+    row = np.concatenate([pos, pos, a, tail])
+    start = np.concatenate([np.zeros_like(pos), pos + 1, m[k], z[tail]])
+    length = np.concatenate([pos + 1, stop - pos - 1, e[k] - m[k], n - z[tail]])
+    value = np.concatenate([np.zeros(n, dtype=cell), (flat.depth[ends] + 3).astype(cell),
+                            (flat.depth[split[k]] + 1).astype(cell),
+                            np.zeros(len(tail), dtype=cell)])
+    at = np.argsort(order[row] * n + start)
+    cells = np.repeat(value[at], length[at]).reshape(n, n)
+    for s_, m_, e_, d_ in zip(s[sliced].tolist(), m[sliced].tolist(), e[sliced].tolist(),
+                              flat.depth[split[sliced]].tolist()):
+        cells[order[s_:m_], m_:e_] = d_ + 1
+    return cells
+
+
+def _finish(cells: np.ndarray, inv: np.ndarray, leaf: np.ndarray, counts: np.ndarray) -> None:
+    """Add a tree's `_pair_rows` into `counts`, out of leaf order and
+    transposed, with `leaf` as scratch; `cells` is overwritten.  inv[i] is
+    table row i's leaf position."""
+    # Transposed a 256 x 256 tile at a time, so that the rows read and
+    # the rows written stay in cache: 0.35 ms against 0.53 ms for one
+    # transposed copy of 1000 x 1000 byte cells on a 2-vCPU machine.
+    n = len(cells)
+    for r in range(0, n, 256):
+        for c in range(0, n, 256):
+            leaf[c : c + 256, r : r + 256] = cells[r : r + 256, c : c + 256].T
+    # "clip" gathers straight into `out`; the default "raise" first gathers
+    # into a hidden buffer of the same size.  `inv` is a permutation, so no
+    # index is ever clipped.
+    np.take(leaf, inv, axis=0, out=cells, mode="clip")
+    np.add(counts, cells, out=counts)
+
+
 def _tree_sums(forest: Forest, ds: Dataset) -> np.ndarray:
     """Condensed pair depth sums of all trees over the rows of `ds`.
 
     Trees the leaf-order kernel takes add into integer `counts`, of
     `_sum_type` so that no sum can wrap, the others into float64 `sums`;
-    each is allocated when a tree first needs it.  A kernel tree adds
-    each pair's depth to one of its two cells of `counts`, so a pair's sum
-    there is the two cells added."""
+    each is allocated when a tree first needs it.  A kernel tree's
+    `_pair_rows` go through `_finish`, which adds each pair's depth to one
+    of its two cells of `counts`, so a pair's sum there is the two cells
+    added."""
     flat = forest.flat
     n = ds.n_rows
     n_trees = len(flat.roots) - 1
+    cell = _cell_type(flat)
     counts = sums = None
     batch = max(1, ROUTE_TRIPLES // n)
     for t0 in range(0, n_trees, batch):
@@ -178,67 +277,33 @@ def _tree_sums(forest: Forest, ds: Dataset) -> np.ndarray:
         # node's rows form one block.
         rows, ends, _ = descend(flat, ds, trees, False)
         for k, t in enumerate(trees):
-            root = flat.roots[t]
-            keys = ends[k * n : (k + 1) * n]
-            # before[i] rows end before local node i: node i's rows are
-            # the block [before[i], before[end[i]]).
-            before = np.zeros(flat.roots[t + 1] - root + 1, dtype=np.intp)
-            np.cumsum(np.bincount(keys - root, minlength=len(before) - 1), out=before[1:])
-            ids = np.arange(root, flat.roots[t + 1])
-            s, e = before[:-1], before[flat.end[ids] - root]
-            shared = e - s >= 2
-            # A row some other row reaches a split with, that the split
-            # cannot place, needs both-branch weights: the weighted path.
-            stops = keys[flat.kind[keys] != TERMINAL]
-            if shared[stops - root].any():
+            order = rows[k * n : (k + 1) * n]
+            cells = _pair_rows(flat, t, ends[k * n : (k + 1) * n], order, cell)
+            if cells is None:
                 if sums is None:
                     sums = np.zeros((n, n))
                 _add_weighted(flat, t, ds, sums)
                 continue
-            ids, s, e = ids[shared], s[shared], e[shared]
-            d = flat.depth[ids]
-            term = flat.kind[ids] == TERMINAL
             if counts is None:
                 counts = np.zeros((n, n), dtype=_sum_type(flat))
-                leaf = np.empty((n, n), dtype=_cell_type(flat))
-                scratch = np.empty_like(leaf)
-            # `leaf` takes the pair depths in leaf order, in its strict
-            # upper triangle only: a terminal at depth d fills its block's
-            # with d + 3, a split the block between its children with
-            # d + 1; its right child's rows start at m.
-            leaf.fill(0)
-            for s_, e_, d_ in zip(s[term].tolist(), e[term].tolist(), d[term].tolist()):
-                for a in range(s_, e_ - 1):
-                    leaf[a, a + 1 : e_] = d_ + 3
-            split = ~term
-            m = before[flat.end[ids[split] + 1] - root]
-            for s_, m_, e_, d_ in zip(s[split].tolist(), m.tolist(), e[split].tolist(),
-                                      d[split].tolist()):
-                leaf[s_:m_, m_:e_] = d_ + 1
-            # Out of leaf order, rows then columns: a row gather, a
-            # transposed copy and a second row gather give the transpose
-            # of `leaf` out of leaf order, which the condensing pass reads
-            # alike.
+                leaf = np.empty_like(cells)
             inv = np.empty(n, dtype=np.intp)
-            inv[rows[k * n : (k + 1) * n]] = np.arange(n)
-            np.take(leaf, inv, axis=0, out=scratch)
-            np.copyto(leaf, scratch.T)
-            np.take(leaf, inv, axis=0, out=scratch)
-            counts += scratch
-    if counts is None:
-        return _upper(sums)
-    # A pair's two integer cells add exactly, a row slice at a time; float
-    # addition commutes, so adding the float sums after is adding to them.
-    cells = np.concatenate([counts[i, i + 1 :] + counts[i + 1 :, i] for i in range(n - 1)],
-                           dtype=np.float64)
-    if sums is not None:
-        cells += _upper(sums)
+            inv[order] = np.arange(n)
+            _finish(cells, inv, leaf, counts)
+            del cells  # so that it is not alive while the next tree's is built
+    # A pair's two integer cells add exactly, and float addition commutes,
+    # so adding the float sums after is adding to them: a row slice at a
+    # time, straight into the condensed result, so that one row's sums at
+    # most are held beside it.
+    cells = np.empty(n * (n - 1) // 2)
+    at = 0
+    for i in range(n - 1):
+        part = cells[at : at + n - 1 - i]
+        part[:] = 0.0 if counts is None else counts[i, i + 1 :] + counts[i + 1 :, i]
+        if sums is not None:
+            part += sums[i, i + 1 :]
+        at += n - 1 - i
     return cells
-
-
-def _upper(a) -> np.ndarray:
-    """The condensed upper-triangle cells of square `a`, as float64."""
-    return np.concatenate([a[i, i + 1 :] for i in range(len(a) - 1)], dtype=np.float64)
 
 
 def _available_bytes() -> int | None:
@@ -287,15 +352,16 @@ def separation_matrix(forest: Forest, ds: Dataset, threads: int = 1) -> Condense
     Exact duplicates are collapsed before traversal and expanded back with
     intra-duplicate distance 0.  Raises FitError when the accumulators and
     the result would not fit in the memory available to the process.  The
-    estimate counts 14 or 20 bytes per n x n cell (byte or int32 scratch),
+    estimate counts 14 or 20 bytes per n x n cell (byte or int32 cells),
     18 or 24 with an int64 accumulator.  A weighted tree's sparse M, one
     entry per row and node it reaches, is only known once the tree is
     routed: `_add_weighted` checks each tree's M against the memory then
     available and raises FitError the same way.
 
     `threads` is accepted and ignored, for backward compatibility: trees
-    are summed one after another into one set of accumulators, since a
-    thread pool measured no faster and each worker held its own.
+    are summed one after another into one set of accumulators, since
+    neither a thread pool nor a helper thread for `_finish` measured
+    faster end to end.
     """
     if ds.n_rows < 2:
         raise FitError("need at least 2 rows for a distance matrix")
@@ -305,8 +371,10 @@ def separation_matrix(forest: Forest, ds: Dataset, threads: int = 1) -> Condense
     if rep_ds.n_rows < 2:
         return CondensedMatrix(n)  # all rows identical
     r = rep_ds.n_rows
-    # Bytes per n x n cell: the integer accumulator and the two scratch
-    # blocks at the forest's widths, and the float64 accumulator.
+    # Bytes per n x n cell: the integer accumulator, and the scratch and a
+    # tree's `_pair_rows` at the forest's cell width, and the float64
+    # accumulator.  `_pair_rows`'s runs, at most 19 r of about 60 bytes,
+    # are gone before the condensed result is made.
     flat = forest.flat
     cell = np.dtype(_sum_type(flat)).itemsize + 2 * np.dtype(_cell_type(flat)).itemsize + 8
     need = cell * r * r + BLOCK_CELL_BYTES * _block_rows(r) * r + 8 * (n * (n - 1) // 2)
@@ -316,8 +384,15 @@ def separation_matrix(forest: Forest, ds: Dataset, threads: int = 1) -> Condense
             f"a distance matrix over {n} rows needs about {need} bytes, "
             f"but {available} bytes are available"
         )
-    avg = _tree_sums(forest, rep_ds) / (len(forest.flat.roots) - 1)
-    rep = CondensedMatrix(rep_ds.n_rows, depth_math.standardize_separation(avg))
+    # depth.standardize_separation in place: 2^(-(avg - 1) / 2), where
+    # scaling by -0.5 rounds as negating and halving do.
+    avg = _tree_sums(forest, rep_ds)
+    avg /= len(flat.roots) - 1
+    if np.any(avg < 1.0):
+        raise ValueError("average separation depth must be >= 1")
+    avg -= 1.0
+    avg *= -0.5
+    rep = CondensedMatrix(r, np.power(2.0, avg, out=avg))
     return rep if rep_ds.n_rows == n else rep.take(gmap)
 
 

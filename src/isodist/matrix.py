@@ -80,9 +80,10 @@ class CondensedMatrix:
             lo, hi = np.minimum(a, b), np.maximum(a, b)
             part = out[lo_cell:hi_cell]
             # Equal indices address no cell: _cell(n, k, k) lies in
-            # [-1, m - 1], so the gather stays in range, and its value is
-            # replaced by 0.
-            np.take(self.values, _cell(self.n, lo, hi), out=part)
+            # [-1, m - 1], which "clip" keeps in range (-1 reads cell 0),
+            # and its value is replaced by 0.  "clip" also gathers straight
+            # into `part`, where the default "raise" buffers the block.
+            np.take(self.values, _cell(self.n, lo, hi), out=part, mode="clip")
             part[lo == hi] = 0.0
             i = stop
         return CondensedMatrix(n, out)

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,6 +296,36 @@ def test_memory_guard_counts_int64_sums(monkeypatch, cloud, cloud_forest):
     assert distance._sum_type(cloud_forest.flat) is np.int64
     with pytest.raises(FitError, match="needs about 604320 bytes, but 1000 bytes"):
         separation_matrix(cloud_forest, cloud)
+
+
+def geometric_column(n):
+    """n rows of a geometric column: a uniform threshold mostly splits off
+    the top row or two, so a tree grows about n levels deep."""
+    return numeric_dataset([2.0 ** np.linspace(-1070, 1020, n)])
+
+
+@pytest.mark.parametrize("table, trees", [("t4", 10), ("geometric", 2)])
+def test_traced_peak_stays_within_the_kernel_estimate(table, trees):
+    # On complete rows every tree takes the kernel: no float64 accumulator
+    # and no sparse block, so the peak must fit the estimate's kernel terms
+    # alone, the integer accumulator and the per-tree arrays at the
+    # forest's widths, and the condensed float64 result.  The geometric
+    # trees' left blocks hold some n^2 / 2 rows in all, one run each if
+    # nothing bounded the runs.
+    ds = (generate_scenario("t4", 1000, np.random.default_rng(3))["dataset"] if table == "t4"
+          else geometric_column(1500))
+    forest = fit_forest(ds, ForestParams(n_trees=trees, seed=3))
+    flat, n = forest.flat, ds.n_rows
+    kernel = ((np.dtype(distance._sum_type(flat)).itemsize
+               + 2 * np.dtype(distance._cell_type(flat)).itemsize) * n * n
+              + 8 * (n * (n - 1) // 2))
+    tracemalloc.start()
+    try:
+        separation_matrix(forest, ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= kernel
 
 
 @pytest.mark.parametrize("table", ["dataset", "na"], ids=["complete", "missing cells"])

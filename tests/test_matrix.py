@@ -163,6 +163,19 @@ def test_take_matches_square_gather():
     assert np.array_equal(m.take(rows).values, want.values)
 
 
+@pytest.mark.parametrize("block", [1, 5, 100])
+def test_take_of_every_row_twice_matches_square_gather(monkeypatch, block):
+    # Every row repeats, the first and the last too: each repeat addresses
+    # no cell, and reads 0 whatever the first and the last cells hold.
+    monkeypatch.setattr(matrix, "BLOCK_CELLS", block)
+    m = random_matrix(7, seed=5)
+    rows = np.random.default_rng(6).permutation(np.repeat(np.arange(7), 2))
+    want = m.to_square()[np.ix_(rows, rows)]
+    got = m.take(rows)
+    assert np.array_equal(got.to_square(), want)
+    assert np.count_nonzero(got.values == 0.0) == 7
+
+
 @pytest.mark.parametrize("block", [1, 3, 7, 100])
 def test_take_in_blocks_matches_square_gather(monkeypatch, block):
     monkeypatch.setattr(matrix, "BLOCK_CELLS", block)

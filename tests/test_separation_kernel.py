@@ -20,6 +20,7 @@ from isodist.forest import (
     HyperplaneSplit,
     ForestParams,
     Terminal,
+    descend,
     fit_forest,
     load_model,
     remap_dataset,
@@ -238,6 +239,27 @@ def t4_table(missing=0):
 def mixed_table():
     """150 rows of scenario mixed, 10% of its cells missing."""
     return generate_scenario("mixed", 150, np.random.default_rng(11))["dataset"]
+
+
+@pytest.mark.parametrize("table", [t4_table, geometric_column], ids=["t4", "geometric"])
+def test_pair_rows_hold_each_trees_pair_depths(table):
+    # The t4 trees lay every split's block out as runs.  The geometric
+    # trees' splits mostly peel off a row or two, so their left blocks
+    # hold some n^2 / 2 rows in all: the upper splits' blocks are sliced,
+    # the lower ones' laid out as runs.
+    ds = table()
+    forest = fit_forest(ds, ForestParams(n_trees=2, seed=0))
+    flat, n = forest.flat, ds.n_rows
+    rows, ends, _ = descend(flat, ds, range(2), False)
+    for t in range(2):
+        order = rows[t * n : (t + 1) * n]
+        cells = distance._pair_rows(flat, t, ends[t * n : (t + 1) * n], order,
+                                    distance._cell_type(flat))
+        # Cell (i, c) holds row i's depth with the row at leaf position c
+        # when c comes after row i's own leaf position.
+        later = np.arange(n) > np.argsort(order)[:, None]
+        want = np.where(later, tree_depth_sums(forest, t, ds)[:, order], 0)
+        assert np.array_equal(cells, want)
 
 
 # Fixed-seed cases: (table, forest parameters, trees on the weighted path).
