@@ -89,15 +89,22 @@ def standardize_separation(avg_depth):
     """Map an average separation depth in [1, inf) onto a distance in (0, 1].
 
     f(s) = 2^(-(s-1)/2); f(1) = 1, f(3) = 0.5 (the expected depth for two
-    random points under an infinite sample).  Accepts scalars or arrays.
+    random points under an infinite sample).  Accepts scalars or arrays; a
+    scalar takes the same power loop as an array, so it equals the entry an
+    array holding it would give.
     """
-    s = np.asarray(avg_depth, dtype=np.float64)
+    s = _separation_distance(np.array(avg_depth, dtype=np.float64))
+    return float(s) if s.ndim == 0 else s
+
+
+def _separation_distance(s):
+    """`standardize_separation` of the float64 array `s`, in place, which
+    it returns.  Scaling by -0.5 rounds as negating and halving do."""
     if np.any(s < 1.0):
         raise ValueError("average separation depth must be >= 1")
-    out = 2.0 ** (-(s - 1.0) / 2.0)
-    if np.isscalar(avg_depth) or s.ndim == 0:
-        return float(out)
-    return out
+    s -= 1.0
+    s *= -0.5
+    return np.power(2.0, s, out=s)
 
 
 def standardize_isolation(avg_depth, n: int):

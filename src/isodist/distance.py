@@ -384,15 +384,9 @@ def separation_matrix(forest: Forest, ds: Dataset, threads: int = 1) -> Condense
             f"a distance matrix over {n} rows needs about {need} bytes, "
             f"but {available} bytes are available"
         )
-    # depth.standardize_separation in place: 2^(-(avg - 1) / 2), where
-    # scaling by -0.5 rounds as negating and halving do.
     avg = _tree_sums(forest, rep_ds)
     avg /= len(flat.roots) - 1
-    if np.any(avg < 1.0):
-        raise ValueError("average separation depth must be >= 1")
-    avg -= 1.0
-    avg *= -0.5
-    rep = CondensedMatrix(r, np.power(2.0, avg, out=avg))
+    rep = CondensedMatrix(r, depth_math._separation_distance(avg))
     return rep if rep_ds.n_rows == n else rep.take(gmap)
 
 
@@ -418,8 +412,7 @@ def pair_distance(forest: Forest, ds: Dataset, i: int, j: int) -> float:
     mass = np.zeros((2, len(flat.kind)))
     mass[rows, nodes] = w
     c = np.where(flat.kind == TERMINAL, 3.0, 1.0)
-    avg = np.array([np.sum(c * mass[0] * mass[1])]) / n_trees
-    return float(depth_math.standardize_separation(avg)[0])
+    return depth_math.standardize_separation(float(np.sum(c * mass[0] * mass[1])) / n_trees)
 
 
 def anomaly_scores(forest: Forest, ds: Dataset) -> np.ndarray:

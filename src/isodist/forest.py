@@ -193,24 +193,23 @@ def _label_counts(schema) -> np.ndarray:
 
 
 def _cells(ds: Dataset):
-    """(X, miss): the cells of `ds` as an (n_rows, n_cols) float64 array,
-    categorical codes as floats, and its missing mask.  A negative code (a
-    label the model never saw) counts as missing: no split can place it."""
+    """The cells of `ds` as an (n_rows, n_cols) float64 array, categorical
+    codes as floats, NaN at every unknown cell: a missing one, or a
+    negative code (a label the model never saw).  Known cells are finite.
+    NaN is never <= or > a threshold, so no split places an unknown cell."""
     X = np.empty((ds.n_rows, ds.n_cols))
-    miss = np.empty((ds.n_rows, ds.n_cols), dtype=bool)
     for j, col in enumerate(ds.columns):
-        X[:, j] = col.values
-        miss[:, j] = col.missing | (col.values < 0) if col.kind == "categorical" else col.missing
-    return X, miss
+        unknown = col.missing | (col.values < 0) if col.kind == "categorical" else col.missing
+        X[:, j] = np.where(unknown, np.nan, col.values)
+    return X
 
 
-def _ranges(cells, known, starts):
-    """The least and the greatest known cell of each column in each
-    segment of rows [starts[s], starts[s + 1]); +inf and -inf where a
-    segment knows none.  A column with lo < hi has >= 2 distinct values."""
-    lo = np.minimum.reduceat(np.where(known, cells, np.inf), starts, axis=0)
-    hi = np.maximum.reduceat(np.where(known, cells, -np.inf), starts, axis=0)
-    return lo, hi
+def _ranges(cells, starts):
+    """The least and the greatest known cell of each column of `cells` (see
+    `_cells`) in each segment of rows [starts[s], starts[s + 1]); NaN where
+    a segment knows none.  A column with lo < hi has >= 2 distinct values;
+    test ~(lo < hi), not lo >= hi, for one that has not."""
+    return np.fmin.reduceat(cells, starts, axis=0), np.fmax.reduceat(cells, starts, axis=0)
 
 
 def _draw(rngs, owner, normal=False):
@@ -327,11 +326,11 @@ def _least_key_column(X, rows, seg, starts, keys):
     eligible column with the least key, ranging only the columns it must:
     each segment's column with the least key first, then, for the
     segments where that column holds < 2 distinct known values, the next
-    by key, and so on.  X holds +inf at the missing cells; known cells are
-    finite.  Returns (var, lo, hi, cells): each segment's column and the
-    least and greatest known value in it (lo >= hi where no column is
-    eligible), and each row's cell of X in its segment's column.  Ties in
-    keys go to the lower column, as np.argmin breaks them."""
+    by key, and so on.  X holds NaN at the unknown cells (see `_cells`).
+    Returns (var, lo, hi, cells): each segment's column and the least and
+    greatest known value in it (not lo < hi where no column is eligible),
+    and each row's cell of X in its segment's column.  Ties in keys go to
+    the lower column, as np.argmin breaks them."""
     n_seg, n_cols = keys.shape
     by_key = np.argsort(keys, axis=1, kind="stable")
     count = np.diff(starts, append=len(rows))
@@ -342,10 +341,8 @@ def _least_key_column(X, rows, seg, starts, keys):
     for rank in range(n_cols):
         var[todo] = by_key[todo, rank]
         cells[at] = got = X.ravel()[rows[at] * n_cols + var[seg[at]]]
-        begin = np.cumsum(count[todo]) - count[todo]
-        lo[todo] = np.minimum.reduceat(got, begin)
-        hi[todo] = np.maximum.reduceat(np.where(got < np.inf, got, -np.inf), begin)
-        again = lo[todo] >= hi[todo]
+        lo[todo], hi[todo] = _ranges(got, np.cumsum(count[todo]) - count[todo])
+        again = ~(lo[todo] < hi[todo])
         if not again.any():
             break
         at = np.arange(len(rows))[at][np.repeat(again, count[todo])]
@@ -357,7 +354,7 @@ def _split_single(n_labels, seg, var, lo, hi, x, owner, rngs):
     """Draw a single-variable split for each segment of rows, segment s
     from the stream of tree owner[s], on its column var[s], whose known
     values range over [lo[s], hi[s]]; x holds each row's cell in its
-    segment's column, +inf where missing (see `_least_key_column`).
+    segment's column, NaN where unknown (see `_cells`).
     Returns (ok, split, left, right): ok marks the segments that got a
     split, `split` holds the stored fields of those splits by name (see
     STORED), and left/right mark the rows each sends that way; a row in
@@ -369,8 +366,7 @@ def _split_single(n_labels, seg, var, lo, hi, x, owner, rngs):
     num = np.flatnonzero(ok & ~cat)
     thr[num] = _thresholds(rngs, owner[num], lo[num], hi[num])
     ok[num] = ~np.isnan(thr[num])
-    # Known cells are finite, so a missing one (+inf) is never <= thr.
-    known = x < np.inf
+    known = ~np.isnan(x)
     left = x <= thr[seg]
     cats = np.flatnonzero(ok & cat)
     sides = np.zeros((0, 2, max(1, int(n_labels.max()))), dtype=bool)
@@ -395,7 +391,7 @@ def _split_single(n_labels, seg, var, lo, hi, x, owner, rngs):
     return ok, split, left, known & ~left
 
 
-def _split_hyperplane(X, miss, n_labels, rows, seg, starts, lo, hi, keys, owner, rngs, ndim):
+def _split_hyperplane(X, n_labels, rows, seg, starts, lo, hi, keys, owner, rngs, ndim):
     """Draw a hyperplane split for each segment of rows, over its first
     `ndim` eligible columns by `keys`, segment s from the stream of tree
     owner[s]; segment s holds the rows from starts[s].  Returns (ok,
@@ -421,7 +417,8 @@ def _split_hyperplane(X, miss, n_labels, rows, seg, starts, lo, hi, keys, owner,
     cells = []
     for t in range(terms.shape[1]):
         at = rows * n_cols + var[seg, t]
-        x, known = X.ravel()[at], valid[seg, t] & ~miss.ravel()[at]
+        x = X.ravel()[at]
+        known = valid[seg, t] & ~np.isnan(x)
         c = known & cat[seg, t]
         present[term_id[seg[c], t], x[c].astype(np.intp)] = True
         cells.append((x, known))
@@ -494,11 +491,10 @@ def _split_hyperplane(X, miss, n_labels, rows, seg, starts, lo, hi, keys, owner,
     return ok, split, left, ~left
 
 
-def _grow(X, miss, n_labels, idxs, rngs, params: ForestParams):
-    """Grow one tree per subsample in `idxs` on the cells (X, miss), tree
-    t from the stream rngs[t], all one depth level at a time; returns
-    their stored fields as `_preorder` does.  For a single-variable model
-    X holds +inf at the missing cells.
+def _grow(X, n_labels, idxs, rngs, params: ForestParams):
+    """Grow one tree per subsample in `idxs` on the cells X (see `_cells`),
+    tree t from the stream rngs[t], all one depth level at a time; returns
+    their stored fields as `_preorder` does.
 
     A level's nodes are those of every tree, sorted by (tree, node), and
     its rows are kept sorted by the node they reach: a single-variable
@@ -544,10 +540,10 @@ def _grow(X, miss, n_labels, idxs, rngs, params: ForestParams):
             var, lo, hi, x = _least_key_column(X, rows, seg, starts, keys)
             ok, split, left, right = _split_single(n_labels, seg, var, lo, hi, x, owner, rngs)
         else:
-            lo, hi = _ranges(X[rows], ~miss[rows], starts)
-            keys[lo >= hi] = 2.0  # the columns that cannot split come last
+            lo, hi = _ranges(X[rows], starts)
+            keys[~(lo < hi)] = 2.0  # the columns that cannot split come last
             ok, split, left, right = _split_hyperplane(
-                X, miss, n_labels, rows, seg, starts, lo, hi, keys, owner, rngs, params.ndim
+                X, n_labels, rows, seg, starts, lo, hi, keys, owner, rngs, params.ndim
             )
         splits.append(np.flatnonzero(cand)[ok])
         on = _every(ok[seg])
@@ -628,12 +624,10 @@ def fit_forest(ds: Dataset, params: ForestParams, threads: int = 1) -> Forest:
     """
     if ds.n_rows < 2:
         raise FitError("need at least 2 rows to fit")
-    X, miss = _cells(ds)
-    lo, hi = _ranges(X, ~miss, [0])
+    X = _cells(ds)
+    lo, hi = _ranges(X, [0])
     if not (lo < hi).any():
         raise FitError("no column has >= 2 distinct non-missing values")
-    if params.model_kind == "single":
-        X[miss] = np.inf  # what `_least_key_column` reads a missing cell as
     n_sub = ds.n_rows if params.subsample is None else min(params.subsample, ds.n_rows)
     schema = [
         {"name": name, "kind": c.kind, "labels": c.labels}
@@ -651,7 +645,7 @@ def fit_forest(ds: Dataset, params: ForestParams, threads: int = 1) -> Forest:
             else np.arange(ds.n_rows)
             for rng in rngs
         ]
-        parts.append(_grow(X, miss, n_labels, idxs, rngs, params))
+        parts.append(_grow(X, n_labels, idxs, rngs, params))
     stored = {name: np.concatenate([part[name] for part in parts]) for name in STORED}
     for name in ("roots", "num_ptr", "cat_ptr"):
         stored[name] = np.concatenate([[0], np.cumsum(stored[name])]).astype(STORED[name][0])
@@ -796,15 +790,15 @@ def _pad_terms(num_ptr, num_var, num_coef, num_impute, cat_ptr, cat_var, cat_coe
     return out
 
 
-def _codes(X, miss, width):
-    """The cells (X, miss) as category codes, an intp array of X's shape:
-    each cell's code, or `width` where it is missing, negative or >= width.
-    Only categorical cells are read as codes; the rest land in [0, width]
-    too, so every code indexes a row of `FlatForest.cat_table`."""
-    return np.where(miss | (X < 0) | (X >= width), width, X).astype(np.intp)
+def _codes(X, width):
+    """The cells X (see `_cells`) as category codes, an intp array of X's
+    shape: each cell's code, or `width` where it is unknown, negative or
+    >= width.  Only categorical cells are read as codes; the rest land in
+    [0, width] too, so every code indexes a row of `FlatForest.cat_table`."""
+    return np.where((X >= 0) & (X < width), X, width).astype(np.intp)
 
 
-def _project(flat: FlatForest, X, miss, codes, rows, h):
+def _project(flat: FlatForest, X, codes, rows, h):
     """Hyperplane projections of `rows` at hyperplanes `h`, each term added
     left to right in the slot order of the padded table, numeric terms
     first, then categorical ones.  Unknown cells (missing, or categories
@@ -812,14 +806,14 @@ def _project(flat: FlatForest, X, miss, codes, rows, h):
     add +-0.0, which leaves every comparison with a threshold unchanged."""
     y = np.zeros(len(rows))
     # Cells are gathered from the flattened arrays, by one index each.
-    X_flat, miss_flat, codes_flat = X.ravel(), miss.ravel(), codes.ravel()
+    X_flat, codes_flat = X.ravel(), codes.ravel()
     row_at = rows * X.shape[1]
     var = np.take(flat.pad_num_var, h, axis=0)
     coef = np.take(flat.pad_num_coef, h, axis=0)
     impute = np.take(flat.pad_num_impute, h, axis=0)
     for t in range(var.shape[1]):
-        at = row_at + var[:, t]
-        y += np.where(miss_flat[at], impute[:, t], coef[:, t] * X_flat[at])
+        x = X_flat[row_at + var[:, t]]
+        y += np.where(np.isnan(x), impute[:, t], coef[:, t] * x)
     var = np.take(flat.pad_cat_var, h, axis=0)
     base = np.take(flat.pad_cat_at, h, axis=0)
     for t in range(var.shape[1]):
@@ -827,7 +821,7 @@ def _project(flat: FlatForest, X, miss, codes, rows, h):
     return y
 
 
-def _sides_of(flat: FlatForest, X, miss, codes, rows, nodes):
+def _sides_of(flat: FlatForest, X, codes, rows, nodes):
     """Masks of the (row, node) pairs each split sends left and right; a
     pair in neither goes down both branches.  The rules are the fit's: a
     numeric threshold, a categorical subset of the codes present at fit
@@ -835,17 +829,16 @@ def _sides_of(flat: FlatForest, X, miss, codes, rows, nodes):
     forest with hyperplanes has no other splits; `codes` are the cells'
     codes (see `_codes`), which only hyperplanes read."""
     if len(flat.num_ptr) > 1:  # one entry per hyperplane, and one more
-        go = _project(flat, X, miss, codes, rows, flat.slot[nodes]) <= flat.value[nodes]
+        go = _project(flat, X, codes, rows, flat.slot[nodes]) <= flat.value[nodes]
         return go, ~go
-    at = rows * X.shape[1] + flat.var[nodes]
-    known, vals = ~miss.ravel()[at], X.ravel()[at]
-    left = known & (vals <= flat.value[nodes])
-    right = known & ~left
+    vals = X.ravel()[rows * X.shape[1] + flat.var[nodes]]
+    left = vals <= flat.value[nodes]
+    right = vals > flat.value[nodes]
     cat = np.flatnonzero(flat.kind[nodes] == CATEGORICAL)
     if len(cat):
-        code = vals[cat].astype(np.intp)
-        ok = known[cat] & (code >= 0) & (code < flat.sides.shape[2])
-        sides = flat.sides[flat.slot[nodes[cat]], :, np.where(ok, code, 0)]
+        code = vals[cat]
+        ok = (code >= 0) & (code < flat.sides.shape[2])
+        sides = flat.sides[flat.slot[nodes[cat]], :, np.where(ok, code, 0).astype(np.intp)]
         left[cat], right[cat] = (ok[:, None] & sides).T
     return left, right
 
@@ -868,8 +861,8 @@ def descend(flat: FlatForest, ds: Dataset, trees: range, weighted: bool,
     With `every_node`, the triples of every node reached are returned.
     """
     n = ds.n_rows
-    X, miss = _cells(ds)
-    codes = _codes(X, miss, flat.cat_coef.shape[1])
+    X = _cells(ds)
+    codes = _codes(X, flat.cat_coef.shape[1])
     rows = np.tile(np.arange(n), len(trees))
     nodes = np.repeat(flat.roots[trees.start : trees.stop], n)
     w = np.ones(len(rows)) if weighted else None
@@ -884,7 +877,7 @@ def descend(flat: FlatForest, ds: Dataset, trees: range, weighted: bool,
             live = np.flatnonzero(~term)
             rows, nodes = rows[live], nodes[live]
             w = None if w is None else w[live]
-        left, right = _sides_of(flat, X, miss, codes, rows, nodes)
+        left, right = _sides_of(flat, X, codes, rows, nodes)
         if w is None and not every_node:
             # Unweighted, a row the split cannot place ends at it.
             placed = left | right

@@ -169,6 +169,50 @@ def test_unseen_codes_fit_as_missing():
     assert not any(node.present[2] for node in cats)
 
 
+def test_stored_codes_under_missing_cells_are_never_read(tmp_path):
+    # Two copies of a mixed table that differ only in the codes stored
+    # under missing categorical cells give the same models, distances and
+    # scores; and a label the model never saw routes as a missing cell.
+    mixed = generate_scenario("mixed", 120, np.random.default_rng(5))["dataset"]
+    rng = np.random.default_rng(6)
+    copies = []
+    for fill in (lambda c: np.zeros_like(c.values),
+                 lambda c: rng.integers(-1, len(c.labels), len(c.values))):
+        copies.append(Dataset([
+            Column(c.kind, np.where(c.missing, fill(c), c.values), c.missing, c.labels)
+            if c.kind == "categorical" else c
+            for c in mixed.columns
+        ], list(mixed.names)))
+    assert any((a.values != b.values).any() for a, b in zip(*(d.columns for d in copies)))
+    for kind, ndim in (("single", 1), ("extended", 2)):
+        params = ForestParams(n_trees=4, seed=3, model_kind=kind, ndim=ndim)
+        forests = [fit_forest(ds, params) for ds in copies]
+        digests = [model_digest(forest, tmp_path / "model.npz") for forest in forests]
+        assert digests[0] == digests[1]
+        for forest in forests:
+            mats = [separation_matrix(forest, ds).values for ds in copies]
+            assert np.array_equal(mats[0], mats[1])
+            scores = [anomaly_scores(forest, ds) for ds in copies]
+            assert np.array_equal(scores[0], scores[1])
+
+        # Every fourth row's first categorical cell holds a new label, or
+        # is missing.
+        j = next(i for i, c in enumerate(mixed.columns) if c.kind == "categorical")
+        col = mixed.columns[j]
+        hit = np.arange(mixed.n_rows) % 4 == 0
+        unseen = Column("categorical", np.where(hit, len(col.labels), col.values),
+                        col.missing & ~hit, col.labels + ["new"])
+        missing = Column("categorical", col.values, col.missing | hit, col.labels + ["new"])
+        pair = [Dataset(mixed.columns[:j] + [c] + mixed.columns[j + 1:], list(mixed.names))
+                for c in (unseen, missing)]
+        forest = forests[0]
+        routed = [descend(forest.flat, remap_dataset(forest, ds), range(params.n_trees),
+                          kind == "single") for ds in pair]
+        for a, b in zip(*routed):
+            assert (a is None and b is None) or np.array_equal(a, b)
+        assert np.array_equal(anomaly_scores(forest, pair[0]), anomaly_scores(forest, pair[1]))
+
+
 def test_missing_rows_split_to_both_branches():
     # Column 0 splits; row 4 is missing there and must appear on both
     # sides with weights b_l and 1-b_l.
@@ -498,12 +542,15 @@ def test_padded_projection_matches_the_csr_terms():
     ]
     flat = compile_trees(trees)
     assert flat.pad_num_var.shape == (4, 2) and flat.pad_cat_var.shape == (4, 2)
-    X, miss = forest_mod._cells(ds)
-    codes = forest_mod._codes(X, miss, flat.cat_coef.shape[1])
+    X = forest_mod._cells(ds)
+    codes = forest_mod._codes(X, flat.cat_coef.shape[1])
     rows = np.repeat(np.arange(ds.n_rows), len(trees))
     h = np.tile(np.arange(len(trees)), ds.n_rows)
-    got = forest_mod._project(flat, X, miss, codes, rows, h)
-    want = csr_project(flat, X, miss, rows, h)
+    got = forest_mod._project(flat, X, codes, rows, h)
+    # The oracle reads the columns' own values and missing masks.
+    values = np.stack([c.values for c in ds.columns], axis=1).astype(float)
+    missing = np.stack([c.missing for c in ds.columns], axis=1)
+    want = csr_project(flat, values, missing, rows, h)
     assert np.isfinite(want).all()
     assert (got == want).all()
 
@@ -1104,10 +1151,11 @@ def test_least_key_column_matches_a_full_range_argmin(seed, columns, sizes, tied
     keys = rng.random((len(sizes), len(columns)))
     if tied:  # ties go to the lower column
         keys = np.round(keys, 1)
-    low = np.where(miss, np.inf, X)
-    var, lo, hi, cells = forest_mod._least_key_column(low, rows, seg, starts, keys)
+    unknown = np.where(miss, np.nan, X)
+    var, lo, hi, cells = forest_mod._least_key_column(unknown, rows, seg, starts, keys)
 
-    want_lo, want_hi = forest_mod._ranges(X[rows], ~miss[rows], starts)
+    want_lo = np.minimum.reduceat(np.where(miss, np.inf, X)[rows], starts, axis=0)
+    want_hi = np.maximum.reduceat(np.where(miss, -np.inf, X)[rows], starts, axis=0)
     ranked = np.where(want_lo < want_hi, keys, 2.0)
     want = np.argmin(ranked, axis=1)
     ok = ranked.min(axis=1) < 2.0
@@ -1116,7 +1164,7 @@ def test_least_key_column_matches_a_full_range_argmin(seed, columns, sizes, tied
     assert np.array_equal(var[s], want[s])
     assert np.array_equal(lo[s], want_lo[s, want[s]])
     assert np.array_equal(hi[s], want_hi[s, want[s]])
-    assert np.array_equal(cells, low[rows, var[seg]])
+    assert np.array_equal(cells, unknown[rows, var[seg]], equal_nan=True)
 
 
 def test_tree_deeper_than_the_recursion_limit(tmp_path):
