@@ -82,12 +82,16 @@ class Dataset:
                 raise DataError("columns have differing lengths")
         if not self.names:
             self.names = [f"col{i}" for i in range(len(self.columns))]
+        if len(self.names) != len(self.columns):
+            raise DataError(f"{len(self.names)} names for {len(self.columns)} columns")
         if self.weights is None:
             self.weights = np.ones(n, dtype=np.float64)
         else:
             self.weights = np.asarray(self.weights, dtype=np.float64)
             if self.weights.shape != (n,):
                 raise DataError("weights length mismatch")
+            if not np.isfinite(self.weights).all():
+                raise DataError("weights must be finite")
             if not (self.weights > 0).all():
                 raise DataError("weights must be positive")
 

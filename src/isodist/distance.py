@@ -24,9 +24,9 @@ and pre-order within a tree; every sum here reads them in that order.
   rows form one block [s, e), read off one cumulative count of the rows
   ending at each node.  `_pair_rows` lays a tree's pair depths out as an
   n x n array, rows in table order and columns in leaf order, with one
-  `np.repeat` over runs of equal depth, and one slice per split for the
-  few largest splits of a deep tree, so that the runs stay within some
-  20 n.  `_finish` takes it out of leaf order by a tiled transposed copy
+  `np.repeat` over runs of equal depth: each split's smaller side holds
+  runs over its other side, so there are at most n log2 n + n of them.
+  `_finish` takes it out of leaf order by a tiled transposed copy
   and a row gather and adds it into an integer accumulator, where each
   tree adds a pair's depth to one of the pair's two cells; the two are
   added while the condensed result is built.  The per-tree arrays have
@@ -163,29 +163,24 @@ def _pair_rows(flat: FlatForest, t: int, ends: np.ndarray, order: np.ndarray,
                cell: type) -> np.ndarray | None:
     """Tree t's pair depths as an n x n array of `cell` type, or None
     when the tree needs the weighted path.  Row i is table row i and the
-    columns are in the tree's leaf order: cell (i, c) holds row i's depth
-    with the row at leaf position c when c comes after row i's own, and 0
-    otherwise.
+    columns are in the tree's leaf order: each pair's depth is in one of
+    its two cells, (i, c) or (j, c'), c and c' the leaf positions of rows
+    j and i, and the other cell holds 0, as does the diagonal.
 
     `ends` holds the node where each row ends, in the tree's leaf order,
     and `order` the table row at each leaf position.  In leaf order two
     rows that share a terminal at depth d have pair depth d + 3, and two
     that a split at depth d parts, the one in its left block [s, m) and
-    the other in its right block [m, e), have d + 1.  So leaf row a's
-    cells are runs: 0 over columns [0, a], d + 3 over the later rows of
-    its terminal, and d + 1 over the right block of each split where a
-    goes left.  Sorted by (table row, start), one `np.repeat` lays them
-    out.
+    the other in its right block [m, e), have d + 1.  So the cells are
+    runs: leaf row a holds d + 3 over the later rows of its terminal, and
+    each row of a split's smaller side holds d + 1 over the other side's
+    block.  Placed in flat n x n coordinates and sorted, with a zero run
+    over each gap, one `np.repeat` lays them out.
 
-    A split makes one run per row of its left block: about 8 n runs on a
-    1000-row t4 tree, but up to n^2 / 2 on a deep one whose splits peel
-    off a row or two at a time.  So the splits with the smallest left
-    blocks make runs, 16 n of them at most, and the others are filled one
-    slice each after the repeat.  Up a row's tree its left blocks grow,
-    and the right blocks of the splits where it goes left follow one
-    another up to column n, so its sliced blocks take one zero run
-    [z, n).  The runs' arrays thus hold at most 19 n runs of about 60
-    bytes."""
+    A row is on the smaller side of at most log2 n of its splits, since
+    that side holds at most half of its split's rows, so a tree makes at
+    most n log2 n split runs and n terminal runs (Hopcroft's smaller-half
+    argument), 3.4 n and n on a 1000-row t4 tree."""
     n = len(ends)
     root = flat.roots[t]
     # before[i] rows end before local node i: node i's rows are the block
@@ -202,38 +197,27 @@ def _pair_rows(flat: FlatForest, t: int, ends: np.ndarray, order: np.ndarray,
     split = ids[shared & (flat.kind[ids] != TERMINAL)]
     s, e = before[split - root], before[flat.end[split] - root]
     m = before[flat.end[split + 1] - root]
-    # Rows of each split's left block that meet a right block there.  Past
-    # 16 n in all, the splits are sliced from the least left block size at
-    # which the sizes, added smallest first, pass 16 n.
-    left = np.where(m < e, m - s, 0)
-    sliced = np.zeros(len(split), dtype=bool)
-    if left.sum() > 16 * n:
-        size = np.sort(left)
-        sliced = left >= size[np.searchsorted(np.cumsum(size), 16 * n, side="right")]
-        left[sliced] = 0
-    # z[a] is where leaf row a's sliced blocks start: in pre-order a row's
-    # lowest sliced split, with the least m, comes last.
-    z = np.full(n, n)
-    for s_, m_ in zip(s[sliced].tolist(), m[sliced].tolist()):
-        z[s_:m_] = m_
-    tail = np.flatnonzero(z < n)
-    # One run per (split k, row a) of the other splits.
-    k = np.repeat(np.arange(len(split)), left)
-    a = np.arange(len(k)) - np.repeat(np.cumsum(left) - left - s, left)
+    # Each split's smaller side [lo, lo + size) holds runs over the other
+    # side's block [other, other + width).
+    small = m - s <= e - m
+    lo, other = np.where(small, s, m), np.where(small, m, s)
+    size, width = np.where(small, m - s, e - m), np.where(small, e - m, m - s)
+    # One run per (split k, row a of its smaller side), after one
+    # terminal run per row a.
+    k = np.repeat(np.arange(len(split)), size)
     pos = np.arange(n)
-    stop = before[flat.end[ends] - root]  # the end of each row's terminal block
-    row = np.concatenate([pos, pos, a, tail])
-    start = np.concatenate([np.zeros_like(pos), pos + 1, m[k], z[tail]])
-    length = np.concatenate([pos + 1, stop - pos - 1, e[k] - m[k], n - z[tail]])
-    value = np.concatenate([np.zeros(n, dtype=cell), (flat.depth[ends] + 3).astype(cell),
-                            (flat.depth[split[k]] + 1).astype(cell),
-                            np.zeros(len(tail), dtype=cell)])
-    at = np.argsort(order[row] * n + start)
-    cells = np.repeat(value[at], length[at]).reshape(n, n)
-    for s_, m_, e_, d_ in zip(s[sliced].tolist(), m[sliced].tolist(), e[sliced].tolist(),
-                              flat.depth[split[sliced]].tolist()):
-        cells[order[s_:m_], m_:e_] = d_ + 1
-    return cells
+    a = np.concatenate([pos, np.arange(len(k)) - np.repeat(np.cumsum(size) - size - lo, size)])
+    start = np.concatenate([pos + 1, other[k]]) + n * order[a]
+    length = np.concatenate([before[flat.end[ends] - root] - pos - 1, width[k]])
+    value = np.concatenate([flat.depth[ends] + 3, flat.depth[split[k]] + 1]).astype(cell)
+    # A row last in its terminal has an empty run, which may start where
+    # another run starts: it sorts first, so that no gap is negative.
+    at = np.argsort(2 * start + (length > 0))
+    start, length = start[at], length[at]
+    bounds = np.concatenate([[0], np.column_stack([start, start + length]).ravel(), [n * n]])
+    values = np.zeros(len(bounds) - 1, dtype=cell)
+    values[1::2] = value[at]
+    return np.repeat(values, np.diff(bounds)).reshape(n, n)
 
 
 def _finish(cells: np.ndarray, inv: np.ndarray, leaf: np.ndarray, counts: np.ndarray) -> None:
@@ -291,6 +275,8 @@ def _tree_sums(forest: Forest, ds: Dataset) -> np.ndarray:
             inv[order] = np.arange(n)
             _finish(cells, inv, leaf, counts)
             del cells  # so that it is not alive while the next tree's is built
+    # Release the scratch and the last batch's descent before the result.
+    rows = ends = order = leaf = None
     # A pair's two integer cells add exactly, and float addition commutes,
     # so adding the float sums after is adding to them: a row slice at a
     # time, straight into the condensed result, so that one row's sums at
@@ -373,8 +359,8 @@ def separation_matrix(forest: Forest, ds: Dataset, threads: int = 1) -> Condense
     r = rep_ds.n_rows
     # Bytes per n x n cell: the integer accumulator, and the scratch and a
     # tree's `_pair_rows` at the forest's cell width, and the float64
-    # accumulator.  `_pair_rows`'s runs, at most 19 r of about 60 bytes,
-    # are gone before the condensed result is made.
+    # accumulator.  `_pair_rows`'s runs, at most r log2 r + r of about 60
+    # bytes, are gone before the condensed result is made.
     flat = forest.flat
     cell = np.dtype(_sum_type(flat)).itemsize + 2 * np.dtype(_cell_type(flat)).itemsize + 8
     need = cell * r * r + BLOCK_CELL_BYTES * _block_rows(r) * r + 8 * (n * (n - 1) // 2)

@@ -62,8 +62,12 @@ class CondensedMatrix:
         """The matrix over `rows`, indices into this one that may repeat:
         cell (i, j) is self[rows[i], rows[j]], which is 0 when the two
         indices are equal.  Gathered a block of output rows at a time, at
-        most BLOCK_CELLS cells, with no square array."""
+        most BLOCK_CELLS cells, with no square array.  Raises IndexError
+        on a row outside [0, n)."""
         rows = np.asarray(rows, dtype=np.int64)
+        bad = np.flatnonzero((rows < 0) | (rows >= self.n))
+        if len(bad):
+            raise IndexError(f"row {rows[bad[0]]} out of range for n={self.n}")
         n = len(rows)
         out = np.empty(n * (n - 1) // 2)
         # Output row i's cells start at starts[i]; the last row has none.
@@ -105,9 +109,13 @@ class CondensedMatrix:
         """The square matrix with a header row, each cell as `repr` of
         its float, rows ending in CRLF, as `csv.writer` writes them.  Each
         distinct value (bit pattern, so -0.0 stays apart from 0.0) is
-        formatted once, and each row joins the texts of its cells."""
+        formatted once, and each row joins the texts of its cells.  Raises
+        ValueError, before the file is opened, unless `names` has n
+        entries."""
         if names is None:
             names = [f"row{i}" for i in range(self.n)]
+        if len(names) != self.n:
+            raise ValueError(f"{len(names)} names for an n={self.n} matrix")
         n = self.n
         bits, code = np.unique(self.values.view(np.int64), return_inverse=True)
         texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)

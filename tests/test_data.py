@@ -276,6 +276,22 @@ def test_weights_must_be_positive():
         )
 
 
+@pytest.mark.parametrize("weight", [np.inf, np.nan])
+def test_weights_must_be_finite(weight):
+    with pytest.raises(DataError, match="weights must be finite"):
+        Dataset(
+            [Column("numeric", np.array([1.0, 2.0]), np.zeros(2, dtype=bool))],
+            weights=np.array([1.0, weight]),
+        )
+
+
+def test_names_must_name_every_column():
+    cols = [Column("numeric", np.array([1.0, 2.0]), np.zeros(2, dtype=bool))] * 3
+    with pytest.raises(DataError, match="1 names for 3 columns"):
+        Dataset(cols, ["a"])
+    assert Dataset(cols).names == ["col0", "col1", "col2"]
+
+
 @pytest.mark.parametrize(
     "data, what",
     [(b"a,b\n1,x\n2,\xff\xfe\n", "not UTF-8"), (b'a\n"' + b"x" * 140_000 + b'"\n', "field larger")],

@@ -310,8 +310,12 @@ def test_traced_peak_stays_within_the_kernel_estimate(table, trees):
     # and no sparse block, so the peak must fit the estimate's kernel terms
     # alone, the integer accumulator and the per-tree arrays at the
     # forest's widths, and the condensed float64 result.  The geometric
-    # trees' left blocks hold some n^2 / 2 rows in all, one run each if
-    # nothing bounded the runs.
+    # trees' splits peel off a row or two, so their larger sides hold some
+    # n^2 / 2 rows in all, one run each if a split laid out its larger
+    # side; their peak comes inside the tree loop.  The t4 trees' peak
+    # comes as the condensed result is built, once the scratch and the
+    # last batch's descent are released: it must fit the accumulator, one
+    # cell width and the result.
     ds = (generate_scenario("t4", 1000, np.random.default_rng(3))["dataset"] if table == "t4"
           else geometric_column(1500))
     forest = fit_forest(ds, ForestParams(n_trees=trees, seed=3))
@@ -326,6 +330,10 @@ def test_traced_peak_stays_within_the_kernel_estimate(table, trees):
     finally:
         tracemalloc.stop()
     assert peak <= kernel
+    if table == "t4":
+        cell = np.dtype(distance._cell_type(flat)).itemsize
+        assert peak <= ((np.dtype(distance._sum_type(flat)).itemsize + cell) * n * n
+                        + 8 * (n * (n - 1) // 2))
 
 
 @pytest.mark.parametrize("table", ["dataset", "na"], ids=["complete", "missing cells"])

@@ -83,6 +83,14 @@ def test_csv_read_refuses_a_truncated_file(tmp_path):
         CondensedMatrix.read_csv(path)
 
 
+def test_csv_write_refuses_a_name_count_other_than_n(tmp_path):
+    # Two names over a 3 x 3 matrix would write a file read_csv rejects.
+    path = tmp_path / "dist.csv"
+    with pytest.raises(ValueError, match="2 names for an n=3 matrix"):
+        CondensedMatrix(3, [0.1, 0.2, 0.3]).write_csv(path, ["a", "b"])
+    assert not path.exists()
+
+
 def test_csv_bytes_match_csv_writer(tmp_path):
     # The square matrix through csv.writer, one repr per cell: the format
     # write_csv keeps.
@@ -184,3 +192,9 @@ def test_take_in_blocks_matches_square_gather(monkeypatch, block):
     want = CondensedMatrix.from_square(m.to_square()[np.ix_(rows, rows)])
     assert np.array_equal(m.take(rows).values, want.values)
     assert m.take([6, 6]).values.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("rows, bad", [([0, 5], 5), ([-1, 1], -1), ([3, 0], 3)])
+def test_take_refuses_a_row_outside_the_matrix(rows, bad):
+    with pytest.raises(IndexError, match=f"row {bad} out of range for n=3"):
+        CondensedMatrix(3, [0.1, 0.2, 0.3]).take(rows)

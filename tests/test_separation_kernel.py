@@ -241,25 +241,71 @@ def mixed_table():
     return generate_scenario("mixed", 150, np.random.default_rng(11))["dataset"]
 
 
-@pytest.mark.parametrize("table", [t4_table, geometric_column], ids=["t4", "geometric"])
-def test_pair_rows_hold_each_trees_pair_depths(table):
-    # The t4 trees lay every split's block out as runs.  The geometric
-    # trees' splits mostly peel off a row or two, so their left blocks
-    # hold some n^2 / 2 rows in all: the upper splits' blocks are sliced,
-    # the lower ones' laid out as runs.
-    ds = table()
-    forest = fit_forest(ds, ForestParams(n_trees=2, seed=0))
+def pair_rows_laid_out(forest, ds):
+    """How many of the forest's trees `_pair_rows` lays out over the
+    rows of `ds`, each checked against `tree_depth_sums`: with its
+    columns taken back to table order, each pair's depth is in one of the
+    pair's two cells and 0 in the other, and the diagonal is 0."""
+    ds = remap_dataset(forest, ds)
     flat, n = forest.flat, ds.n_rows
-    rows, ends, _ = descend(flat, ds, range(2), False)
-    for t in range(2):
+    n_trees = len(flat.roots) - 1
+    rows, ends, _ = descend(flat, ds, range(n_trees), False)
+    laid = 0
+    for t in range(n_trees):
         order = rows[t * n : (t + 1) * n]
         cells = distance._pair_rows(flat, t, ends[t * n : (t + 1) * n], order,
                                     distance._cell_type(flat))
-        # Cell (i, c) holds row i's depth with the row at leaf position c
-        # when c comes after row i's own leaf position.
-        later = np.arange(n) > np.argsort(order)[:, None]
-        want = np.where(later, tree_depth_sums(forest, t, ds)[:, order], 0)
-        assert np.array_equal(cells, want)
+        if cells is None:
+            continue
+        laid += 1
+        square = cells[:, np.argsort(order)].astype(np.int64)
+        off = ~np.eye(n, dtype=bool)
+        assert np.array_equal((square + square.T)[off], tree_depth_sums(forest, t, ds)[off])
+        assert not np.diagonal(square).any()
+        assert not np.minimum(square, square.T).any()
+    return laid
+
+
+@pytest.mark.parametrize("table", [t4_table, geometric_column], ids=["t4", "geometric"])
+def test_pair_rows_hold_each_trees_pair_depths(table):
+    # The geometric trees' splits mostly peel off a row or two, so their
+    # left blocks hold some n^2 / 2 rows in all, and their smaller sides
+    # n log2 n rows at most.
+    ds = table()
+    assert pair_rows_laid_out(fit_forest(ds, ForestParams(n_trees=2, seed=0)), ds) == 2
+
+
+@st.composite
+def complete_tables(draw):
+    """(table, params): 2-40 complete rows of two numeric columns and one
+    categorical one, from a few values each, so that rows tie and
+    terminals may hold several rows.  The first two rows differ, so that
+    fitting succeeds."""
+    n = draw(st.integers(2, 40))
+    cols = []
+    for _ in range(2):
+        values = np.array(draw(st.lists(st.sampled_from(POOL[:3]), min_size=n, max_size=n)))
+        cols.append(Column("numeric", values, np.zeros(n, dtype=bool)))
+    cols[0].values[:2] = POOL[:2]
+    codes = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    cols.append(Column("categorical", codes, np.zeros(n, dtype=bool), LABELS))
+    kind = draw(st.sampled_from(["single", "extended"]))
+    params = ForestParams(
+        n_trees=draw(st.integers(1, 3)),
+        subsample=draw(st.none() | st.integers(2, n)),
+        ndim=1 if kind == "single" else draw(st.integers(1, 3)),
+        max_depth=draw(st.none() | st.integers(1, 6)),
+        seed=draw(st.integers(0, 2**16)),
+        model_kind=kind,
+    )
+    return Dataset(cols), params
+
+
+@settings(max_examples=300, deadline=None)
+@given(complete_tables())
+def test_pair_rows_hold_the_depths_of_every_tree_they_lay_out(case):
+    ds, params = case
+    pair_rows_laid_out(fit_forest(ds, params), ds)
 
 
 # Fixed-seed cases: (table, forest parameters, trees on the weighted path).
