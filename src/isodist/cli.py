@@ -212,7 +212,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, FitError, ModelFormatError, BaselineError, ValueError) as exc:
+    # OSError: an output path that cannot be written, such as one in a
+    # missing directory; its message names the path.
+    except (DataError, FitError, ModelFormatError, BaselineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,9 +45,9 @@ triples over in node order, tree by tree and pre-order within a tree.
 
 The model file is the FlatForest's stored arrays (STORED) in an .npz
 archive with a JSON header; `load_model` validates them with whole-array
-checks and derives the rest with the same `_finish` as fitting, among it
-the padded hyperplane term table that scoring reads in place of the
-stored CSR terms.
+checks, `_shape`'s check that the nodes form trees among them, and derives
+the rest as fitting does, among it the padded hyperplane term table that
+scoring reads in place of the stored CSR terms.
 
 The node dataclasses (`Terminal`, `NumericSplit`, `CategoricalSplit`,
 `HyperplaneSplit`) are only a read-only view, `Forest.trees`, that builds
@@ -647,6 +647,7 @@ def fit_forest(ds: Dataset, params: ForestParams, threads: int = 1) -> Forest:
         ]
         parts.append(_grow(X, n_labels, idxs, rngs, params))
     stored = {name: np.concatenate([part[name] for part in parts]) for name in STORED}
+    del parts
     for name in ("roots", "num_ptr", "cat_ptr"):
         stored[name] = np.concatenate([[0], np.cumsum(stored[name])]).astype(STORED[name][0])
     # The code tables are as wide as the most labels of a column they
@@ -654,7 +655,8 @@ def fit_forest(ds: Dataset, params: ForestParams, threads: int = 1) -> Forest:
     cat_splits = stored["var"][stored["kind"] == CATEGORICAL]
     stored["sides"] = stored["sides"][:, :, : max(1, n_labels[cat_splits].max(initial=0))]
     stored["cat_coef"] = stored["cat_coef"][:, : max(1, n_labels[stored["cat_var"]].max(initial=0))]
-    return Forest(params=params, schema=schema, flat=_finish(**stored), n_sub=n_sub)
+    return Forest(params=params, schema=schema, flat=_finish(*_shape(stored["kind"]), **stored),
+                  n_sub=n_sub)
 
 
 # ---------------------------------------------------------------------------
@@ -668,10 +670,10 @@ class FlatForest:
     [roots[t], roots[t + 1]).  The subtree of node i ends before `end[i]`,
     so the left child of split i is i + 1 and its right child end[i + 1].
 
-    `_finish` derives every field that STORED does not list: the
-    structure (end, depth, slot, value) and the hyperplane terms as a
-    padded table, about 0.86 MB on a 12,592-hyperplane forest of ndim 2
-    over 2 numeric and 2 categorical columns."""
+    The fields that STORED does not list are derived: end and depth by
+    `_shape` in one pass over the whole forest, slot, value and the
+    hyperplane terms as a padded table by `_finish`, the table about
+    0.86 MB on a 12,592-hyperplane forest of ndim 2 over 4 columns."""
 
     roots: np.ndarray  # int64, n_trees + 1 entries
     kind: np.ndarray  # int8: TERMINAL, NUMERIC, CATEGORICAL or HYPERPLANE
@@ -718,42 +720,41 @@ class FlatForest:
     cat_table: np.ndarray
 
 
-def _shape(kind: np.ndarray, start: int):
-    """(end, depth) of one pre-order tree, given its node kinds and the id
-    of its root.
+def _shape(kind: np.ndarray):
+    """(end, depth) of every node of a forest, from its node kinds in
+    pre-order, tree after tree.
 
-    With s the count of splits less terminals before a node, a subtree
-    starting at i ends at the first e > i where s = s[i] - 1.  Split i
-    holds the nodes [i + 1, end[i]), so depth is a prefix sum: +1 at each
-    split's i + 1, -1 at its end."""
+    With s the count of splits less terminals before a node, each tree
+    leaves s one lower than it found it, so the subtree at i ends at the
+    first e > i where s = s[i] - 1, in its own tree.  Split i holds the
+    nodes [i + 1, end[i]), so depth is a prefix sum: +1 at each split's
+    i + 1, -1 at its end.  Where s never comes back to s[i] - 1, end[i] is
+    at or before i, so any kinds give ends in [0, n], and a root's subtree
+    ends at the next root only if the nodes between form a tree."""
     n = len(kind)
-    s = np.concatenate([[0], np.cumsum(np.where(kind == TERMINAL, -1, 1))])
-    # Positions sorted by (s, position): the first position after i with
-    # s[i] - 1 is one searchsorted away.
-    keys = np.sort(s * (n + 1) + np.arange(n + 1))
-    base = (s[:-1] - 1) * (n + 1)
-    end = keys[np.searchsorted(keys, base + np.arange(1, n + 1))] - base
+    # Keys s * (n + 1) + position, sorted: the first at or above node i's
+    # (s[i] - 1, i + 1) is the first position after i with s[i] - 1, or else
+    # the first with s[i].  Searched in sorted order, it stays in cache; each
+    # temporary goes when used, so that the fit's peak memory is not here.
+    keys = np.concatenate([[0], np.cumsum(np.where(kind == TERMINAL, -1, 1))]) * (n + 1)
+    keys = np.sort(keys + np.arange(n + 1))
+    pos = keys % (n + 1)
+    end = np.empty(n + 1, dtype=np.int32)
+    end[pos] = pos[np.searchsorted(keys, keys - n)]
+    del keys, pos
     split = np.flatnonzero(kind != TERMINAL)
-    depth = np.cumsum(np.bincount(split + 1, minlength=n + 1)
-                      - np.bincount(end[split], minlength=n + 1))[:n]
-    return end + start, depth
+    depth = np.bincount(split + 1, minlength=n + 1) - np.bincount(end[split], minlength=n + 1)
+    return end[:n], np.cumsum(depth[:n], dtype=np.int32)
 
 
-def _finish(threshold, **stored) -> FlatForest:
-    """The FlatForest of the stored fields (see STORED): each node's
-    subtree end and depth, the slot of a categorical or hyperplane split,
-    the value of a node, a split's threshold or a terminal's isolation
-    depth, and the padded hyperplane term table are derived here.
-    `threshold` becomes the value array, in place: a copy would raise the
-    peak memory."""
-    kind, roots = stored["kind"], stored["roots"].tolist()
-    n = len(kind)
-    end = np.empty(n, dtype=np.int32)
-    depth = np.empty(n, dtype=np.int32)
-    # Tree by tree, which keeps the temporaries to the size of one tree.
-    for a, b in zip(roots, roots[1:]):
-        end[a:b], depth[a:b] = _shape(kind[a:b], a)
-    slot = np.full(n, -1, dtype=np.int32)
+def _finish(end, depth, threshold, **stored) -> FlatForest:
+    """The FlatForest of the stored fields (see STORED) and their `_shape`,
+    end and depth: the slot of a categorical or hyperplane split, the value
+    of a node, a split's threshold or a terminal's isolation depth, and the
+    padded hyperplane term table are derived here.  `threshold` becomes the
+    value array, in place: a copy would raise the peak memory."""
+    kind = stored["kind"]
+    slot = np.full(len(kind), -1, dtype=np.int32)
     for k in (CATEGORICAL, HYPERPLANE):
         idx = np.flatnonzero(kind == k)
         slot[idx] = np.arange(len(idx))
@@ -899,16 +900,23 @@ def descend(flat: FlatForest, ds: Dataset, trees: range, weighted: bool,
 def remap_dataset(forest: Forest, ds: Dataset) -> Dataset:
     """Align `ds` to the forest's schema snapshot.
 
-    Column kinds must match positionally.  Categorical codes are rewritten
-    into the model's label space; labels the model never saw become
-    UNSEEN_CODE and take the unseen-category path at every split.
+    Columns must match the schema's in count, name and kind, in order;
+    where either side's names are the positional defaults col0, col1, ...
+    (a CSV read without a header), they match by position alone.
+    Categorical codes are rewritten into the model's label space; labels
+    the model never saw become UNSEEN_CODE and take the unseen-category
+    path at every split.
     """
     if ds.n_cols != len(forest.schema):
         raise FitError(
             f"dataset has {ds.n_cols} columns, model expects {len(forest.schema)}"
         )
+    positional = [f"col{i}" for i in range(ds.n_cols)]
+    by_name = positional not in (ds.names, [spec["name"] for spec in forest.schema])
     cols = []
-    for col, spec in zip(ds.columns, forest.schema):
+    for i, (name, col, spec) in enumerate(zip(ds.names, ds.columns, forest.schema)):
+        if by_name and name != spec["name"]:
+            raise FitError(f"column {i} is named {name!r}, but the model's is {spec['name']!r}")
         if col.kind != spec["kind"]:
             raise FitError(
                 f"column {spec['name']!r}: kind {col.kind!r} does not match "
@@ -936,8 +944,8 @@ def remap_dataset(forest: Forest, ds: Dataset) -> Dataset:
 # a JSON header (format_version, params, n_sub, schema) as a uint8 entry.
 
 # The file's array entries and their (dtype, ndim): the FlatForest fields
-# that `_finish` does not derive, and each node's threshold (0 at a
-# terminal), in the order written.
+# that `_shape` and `_finish` do not derive, and each node's threshold (0
+# at a terminal), in the order written.
 STORED = {
     "roots": (np.int64, 1), "kind": (np.int8, 1), "var": (np.int32, 1),
     "threshold": (np.float64, 1), "left_fraction": (np.float64, 1), "size": (np.float64, 1),
@@ -1003,10 +1011,10 @@ def _columns(var, n_labels, categorical: bool, what: str):
     return counts
 
 
-def _validate(a: dict, model_kind: str, n_labels, n_trees: int, n_sub: int) -> None:
-    """Raise ModelFormatError unless the arrays `a` hold `n_trees` trees of
-    a `model_kind` model over columns with `n_labels` labels each (-1 for a
-    numeric column), fitted on subsamples of `n_sub` rows."""
+def _validate(a: dict, model_kind: str, n_labels, n_trees: int, n_sub: int):
+    """`_shape(a["kind"])`; raise ModelFormatError unless the arrays `a` hold
+    `n_trees` trees of a `model_kind` model over columns with `n_labels`
+    labels each (-1 for a numeric column), fitted on subsamples of `n_sub` rows."""
     for name, (dtype, ndim) in STORED.items():
         _check(name in a and a[name].dtype == dtype and a[name].ndim == ndim,
                f"entry {name!r} is missing or not a {ndim}-d {np.dtype(dtype)} array")
@@ -1017,13 +1025,9 @@ def _validate(a: dict, model_kind: str, n_labels, n_trees: int, n_sub: int) -> N
     _check(len(roots) == n_trees + 1 and roots[0] == 0 and roots[-1] == n
            and (np.diff(roots) > 0).all(), "roots do not divide the nodes into the trees")
     _check(np.isin(kind, ALLOWED_KINDS[model_kind]).all(), f"node kind not allowed in the {model_kind} model")
-    # In pre-order, a tree's running count of splits less terminals stays
-    # >= 0 before its last node and reaches -1 there.
-    run = np.cumsum(np.where(kind == TERMINAL, -1, 1))
-    run -= np.repeat(np.concatenate([[0], run])[roots[:-1]], np.diff(roots))
-    last = np.zeros(n, dtype=bool)
-    last[roots[1:] - 1] = True
-    _check((run[last] == -1).all() and (run[~last] >= 0).all(), "the nodes do not form trees")
+    # The nodes form trees iff each root's subtree ends at the next root.
+    end, depth = _shape(kind)
+    _check((end[roots[:-1]] == roots[1:]).all(), "the nodes do not form trees")
     _columns(a["var"][kind == NUMERIC], n_labels, False, "numeric split")
     labels = _columns(a["var"][kind == CATEGORICAL], n_labels, True, "categorical split")
     sides = a["sides"]
@@ -1048,6 +1052,7 @@ def _validate(a: dict, model_kind: str, n_labels, n_trees: int, n_sub: int) -> N
     _check((np.isfinite(size) & (size >= 0) & (np.rint(size) <= n_sub)).all(),
            "a terminal size is not finite, or below 0, or above the subsample size")
     _check(((frac >= 0) & (frac <= 1)).all(), "a left fraction is outside [0, 1]")
+    return end, depth
 
 
 def _tree(flat: FlatForest, n_labels: list, t: int):
@@ -1120,7 +1125,7 @@ def load_model(path) -> Forest:
                     ok = spec["kind"] == "numeric"
                 if not (ok and type(spec["name"]) is str):
                     raise ModelFormatError(f"malformed schema column {spec!r}")
-            _validate(a, params.model_kind, _label_counts(schema), params.n_trees, n_sub)
+            shape = _validate(a, params.model_kind, _label_counts(schema), params.n_trees, n_sub)
         except ModelFormatError as exc:
             raise ModelFormatError(f"{path}: {exc}") from exc
         # zipfile raises BadZipFile, EOFError and OSError, and RuntimeError
@@ -1131,5 +1136,5 @@ def load_model(path) -> Forest:
         except (zipfile.BadZipFile, EOFError, OSError, RuntimeError, KeyError, TypeError,
                 ValueError, OverflowError) as exc:
             raise ModelFormatError(f"{path}: malformed model file: {exc}") from exc
-    flat = _finish(**{name: a[name] for name in STORED})
+    flat = _finish(*shape, **{name: a[name] for name in STORED})
     return Forest(params=params, schema=schema, flat=flat, n_sub=n_sub)

@@ -156,16 +156,19 @@ class CondensedMatrix:
         with open(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(np.array(self.n, dtype="<u8").tobytes())
-            fh.write(self.values.astype("<f8").tobytes())
+            # The cells' own buffer, not a copy (on a little-endian machine).
+            fh.write(np.ascontiguousarray(self.values, dtype="<f8"))
 
     @classmethod
     def read_binary(cls, path) -> "CondensedMatrix":
         with open(path, "rb") as fh:
-            blob = fh.read()
-        if blob[: len(MAGIC)] != MAGIC:
-            raise ValueError(f"{path}: not an ISODIST1 file")
-        n = int(np.frombuffer(blob, dtype="<u8", count=1, offset=len(MAGIC))[0])
-        cells = np.frombuffer(blob, dtype="<f8", offset=len(MAGIC) + 8).copy()
-        if cells.size != n * (n - 1) // 2:
-            raise ValueError(f"{path}: truncated or corrupt payload")
+            head = fh.read(len(MAGIC) + 8)
+            if head[: len(MAGIC)] != MAGIC:
+                raise ValueError(f"{path}: not an ISODIST1 file")
+            # The whole cells, read into the one array the matrix keeps;
+            # a byte left over is a cell cut short.
+            cells = np.fromfile(fh, dtype="<f8")
+            n = int.from_bytes(head[len(MAGIC) :], "little")
+            if len(head) < len(MAGIC) + 8 or cells.size != n * (n - 1) // 2 or fh.read(1):
+                raise ValueError(f"{path}: truncated or corrupt payload")
         return cls(n, cells)

@@ -68,6 +68,7 @@ def compile_trees(trees):
     for k, c in enumerate(cat_coefs):
         cat_coef[k, : len(c)] = c
     return forest_mod._finish(
+        *forest_mod._shape(kind),
         roots=np.array(roots + [n], dtype=np.int64),
         kind=kind,
         var=var,

@@ -180,6 +180,21 @@ def test_model_source_is_a_usage_error(small_csv, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["fit", "--input", "CSV", "--trees", "3"],
+    ["dist", "--input", "CSV", "--fit-predict", "--trees", "3"],
+    ["score", "--input", "CSV", "--fit-predict", "--trees", "3"],
+    ["bench", "--scenario", "t1", "--rows", "30", "--trees", "3", "--seeds", "1"],
+], ids=["fit", "dist", "score", "bench"])
+def test_output_in_a_missing_directory_is_runtime_error(small_csv, tmp_path, capsys, command):
+    out = str(tmp_path / "no_such_dir" / "out")
+    code, _, stderr = run([small_csv if a == "CSV" else a for a in command] + ["--output", out],
+                          capsys)
+    assert code == 1
+    assert stderr.startswith("error:") and stderr.count("\n") == 1
+    assert out in stderr
+
+
 def test_schema_mismatch_is_runtime_error(small_csv, tmp_path, capsys):
     model = str(tmp_path / "model.json")
     assert main(["fit", "--input", small_csv, "--trees", "3", "--output", model]) == 0
@@ -192,6 +207,22 @@ def test_schema_mismatch_is_runtime_error(small_csv, tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in stderr
+
+
+def test_swapped_columns_are_runtime_error(tmp_path, capsys):
+    # Both columns are numeric: only their names tell the swap apart.
+    rng = np.random.default_rng(1)
+    rows = "".join(f"{x:.6f},{10 + y:.6f}\n" for x, y in rng.random((30, 2)))
+    train, swapped = tmp_path / "train.csv", tmp_path / "swapped.csv"
+    train.write_text("a,b\n" + rows)
+    swapped.write_text("b,a\n" + rows)
+    model = str(tmp_path / "model.npz")
+    assert main(["fit", "--input", str(train), "--trees", "3", "--output", model]) == 0
+    code, _, stderr = run(["score", "--input", str(swapped), "--model-file", model,
+                           "--output", str(tmp_path / "s.csv")], capsys)
+    assert code == 1
+    assert stderr == "error: column 0 is named 'b', but the model's is 'a'\n"
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_schema_sidecar_key_naming_no_column_is_runtime_error(small_csv, tmp_path, capsys):

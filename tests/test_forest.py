@@ -334,12 +334,16 @@ def test_shape_matches_a_stack_walk(tmp_path):
     save_model(single, tmp_path / "model.npz")
     loaded = load_model(tmp_path / "model.npz")
     for flat in (single.flat, extended.flat, loaded.flat):
+        # One call over the whole forest gives each tree's own walk.
+        end, depth = forest_mod._shape(flat.kind)
+        assert np.array_equal(flat.end, end) and np.array_equal(flat.depth, depth)
         for a, b in zip(flat.roots[:-1].tolist(), flat.roots[1:].tolist()):
-            end, depth = stack_walk(flat.kind[a:b])
-            assert np.array_equal(flat.end[a:b], end + a)
-            assert np.array_equal(flat.depth[a:b], depth)
-    end, depth = forest_mod._shape(np.array([TERMINAL], dtype=np.int8), 7)
-    assert end.tolist() == [8] and depth.tolist() == [0]
+            walk_end, walk_depth = stack_walk(flat.kind[a:b])
+            assert np.array_equal(end[a:b], walk_end + a)
+            assert np.array_equal(depth[a:b], walk_depth)
+    # Two one-node trees.
+    end, depth = forest_mod._shape(np.array([TERMINAL, TERMINAL], dtype=np.int8))
+    assert end.tolist() == [1, 2] and depth.tolist() == [0, 0]
 
 
 def assert_same_flat(got, want):
@@ -880,6 +884,32 @@ def test_schema_mismatch_rejected(normal_ds):
         remap_dataset(forest, bad)
 
 
+def named(ds, names):
+    return Dataset(ds.columns, names, ds.weights)
+
+
+def test_columns_are_matched_by_name(normal_ds):
+    forest = fit_forest(named(normal_ds, ["a", "b"]), ForestParams(n_trees=2, seed=1))
+    remap_dataset(forest, named(normal_ds, ["a", "b"]))
+    # Both columns are numeric, so only their names tell them apart.
+    with pytest.raises(FitError, match="column 0 is named 'b', but the model's is 'a'"):
+        remap_dataset(forest, named(normal_ds, ["b", "a"]))
+    with pytest.raises(FitError, match="column 1 is named 'c'"):
+        remap_dataset(forest, named(normal_ds, ["a", "c"]))
+
+
+@pytest.mark.parametrize("fit_names, names", [
+    (["a", "b"], ["col0", "col1"]),
+    (["col0", "col1"], ["b", "a"]),
+], ids=["input positional", "model positional"])
+def test_positional_default_names_match_by_position(normal_ds, fit_names, names):
+    # A CSV read without a header names its columns col0, col1, ...; on
+    # either side those names match whatever the other side calls the
+    # columns at the same positions.
+    forest = fit_forest(named(normal_ds, fit_names), ForestParams(n_trees=2, seed=1))
+    assert remap_dataset(forest, named(normal_ds, names)).names == names
+
+
 def two_split_tree(right_var=0, right_threshold=2.0):
     """x0 <= 0.5 goes left to a terminal; the right child splits again on
     column `right_var`."""
@@ -1366,6 +1396,74 @@ def test_mutated_model_loads_or_raises_model_format_error(small_models, kind, at
         load_model(small_models["path"])
     except ModelFormatError:
         pass
+
+
+def forms_trees(kind, roots):
+    """Whether each [roots[t], roots[t + 1]) of `kind` is one pre-order
+    tree: its running count of splits less terminals stays >= 0 before
+    its last node and reaches -1 there."""
+    for a, b in zip(roots, roots[1:]):
+        run = np.cumsum(np.where(kind[a:b] == TERMINAL, -1, 1))
+        if run[-1] != -1 or (run[:-1] < 0).any():
+            return False
+    return True
+
+
+def pre_order_tree(kinds):
+    """The node kinds of one pre-order tree: `kinds` in turn while a child
+    is left to place, then terminals for the children still open."""
+    out, open_children = [], 1
+    for k in kinds:
+        if not open_children:
+            break
+        out.append(k)
+        open_children += 1 if k != TERMINAL else -1
+    return out + [TERMINAL] * open_children
+
+
+SINGLE_KINDS = st.sampled_from([TERMINAL, NUMERIC, CATEGORICAL])
+
+
+@settings(max_examples=300)
+@given(
+    trees=st.lists(st.lists(SINGLE_KINDS, max_size=12), min_size=1, max_size=4),
+    # Nodes set to another kind, each at a fraction of the node count.
+    edits=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), SINGLE_KINDS), max_size=8),
+    # Tree starts at fractions of the node count, in place of the trees'.
+    cuts=st.none() | st.lists(st.floats(0, 1, exclude_max=True), max_size=5),
+)
+def test_random_node_kinds_load_or_raise_model_format_error(model_files, small_models, trees,
+                                                           edits, cuts):
+    # Every other entry is consistent with the kinds, so a file loads iff
+    # its nodes form trees, and then with each tree's stack-walk shape.
+    kinds = [pre_order_tree(tree) for tree in trees]
+    kind = np.array([k for tree in kinds for k in tree], dtype=np.int8)
+    n = len(kind)
+    roots = np.cumsum([0] + [len(tree) for tree in kinds])
+    for at, k in edits:
+        kind[int(at * n)] = k
+    if cuts is not None:
+        roots = np.unique([0, n] + [1 + int(c * (n - 1)) for c in cuts])
+    arrays, header = copy.deepcopy(model_files["single"])
+    header["params"]["n_trees"] = len(roots) - 1
+    arrays.update(
+        roots=roots.astype(np.int64), kind=kind,
+        var=np.where(kind == CATEGORICAL, 1, 0).astype(np.int32),
+        threshold=np.zeros(n), left_fraction=np.full(n, 0.5),
+        size=np.where(kind == TERMINAL, 1.0, 0.0),
+        sides=np.zeros((np.count_nonzero(kind == CATEGORICAL), 2, 4), dtype=bool))
+    path = small_models["path"]
+    write_model(path, arrays, header)
+    if not forms_trees(kind, roots):
+        with pytest.raises(ModelFormatError,
+                           match=f"{re.escape(str(path))}: the nodes do not form trees"):
+            load_model(path)
+        return
+    flat = load_model(path).flat
+    for a, b in zip(roots[:-1].tolist(), roots[1:].tolist()):
+        end, depth = stack_walk(kind[a:b])
+        assert np.array_equal(flat.end[a:b], end + a)
+        assert np.array_equal(flat.depth[a:b], depth)
 
 
 @pytest.mark.parametrize("enabled", [True, False])

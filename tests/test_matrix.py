@@ -1,4 +1,6 @@
 import csv
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,7 +145,8 @@ def test_binary_round_trip(tmp_path):
     m.write_binary(path)
     again = CondensedMatrix.read_binary(path)
     assert np.array_equal(m.values, again.values)
-    assert path.read_bytes()[:8] == b"ISODIST1"
+    want = b"ISODIST1" + (12).to_bytes(8, "little") + m.values.astype("<f8").tobytes()
+    assert path.read_bytes() == want
 
 
 def test_binary_truncated_rejected(tmp_path):
@@ -153,6 +156,37 @@ def test_binary_truncated_rejected(tmp_path):
     path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(ValueError):
         CondensedMatrix.read_binary(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda b: b[:-8], lambda b: b[:-3], lambda b: b + b"\x00" * 8, lambda b: b + b"\x00",
+    lambda b: b[:12], lambda b: b[:16] + b"\xff" * 8,
+], ids=["cell short", "bytes short", "cell long", "byte long", "header cut", "n too large"])
+def test_binary_with_other_than_n_cells_names_the_file(tmp_path, edit):
+    path = tmp_path / "dist.bin"
+    random_matrix(5).write_binary(path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: truncated or corrupt"):
+        CondensedMatrix.read_binary(path)
+
+
+def test_binary_io_copies_no_cells(tmp_path):
+    # Writing sends the cells' own buffer to the file, and reading keeps
+    # the one array it reads into: neither holds a second copy.
+    m = random_matrix(600)
+    path = tmp_path / "dist.bin"
+    tracemalloc.start()
+    try:
+        m.write_binary(path)
+        written = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        again = CondensedMatrix.read_binary(path)
+        read = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again.values, m.values)
+    assert written < m.values.nbytes / 4
+    assert read < m.values.nbytes * 5 / 4
 
 
 def test_binary_bad_magic_rejected(tmp_path):
