@@ -52,12 +52,12 @@ path, whose sparse product then holds at most one block of BLOCK_CELLS
 cells (or of one row) as sparse and dense values.  Only the n(n-1)/2
 upper cells become float64, at the end, where the float sums are added
 to the integer sums a row at a time, and are standardized in place.
-Before allocating, `separation_matrix` estimates these arrays (14 or 20
-bytes per n x n cell with an int32 accumulator, 18 or 24 with int64),
-the block and the float64 result; if that exceeds the memory available
-to the process it raises `FitError` naming both byte counts.  A weighted
-tree's sparse M is checked the same way once the tree is routed, before
-M is built (24 bytes an entry, for M and its transpose).
+Before allocating, `separation_matrix` estimates these arrays, the
+float64 accumulator and the block only where a tree can take the weighted
+path, and the result; if that exceeds the memory available to the
+process, `_reserve` raises `FitError` naming both byte counts.  A
+weighted tree's sparse M is checked the same way once the tree is routed,
+before M is built (24 bytes an entry, for M and its transpose).
 
 `anomaly_scores` descends all trees at once, a block of about
 ROUTE_TRIPLES // trees rows at a time, so that its (row, node, weight)
@@ -122,13 +122,7 @@ def _add_weighted(flat: FlatForest, t: int, ds: Dataset, D) -> None:
     keep = c[local] > 0
     rows, local, w = rows[keep], local[keep], w[keep]
     # Per entry, 8 bytes of value and 4 of column index, in M and in M^T.
-    need = 2 * (8 + 4) * len(rows)
-    available = _available_bytes()
-    if available is not None and need > available:
-        raise FitError(
-            f"tree {t}'s weight matrix of {len(rows)} entries needs about {need} bytes, "
-            f"but {available} bytes are available"
-        )
+    _reserve(2 * (8 + 4) * len(rows), f"tree {t}'s weight matrix of {len(rows)} entries")
     # In node order the triples are M^T row by row; M, its transpose, holds
     # each row's nodes ascending, so each cell sums its nodes root first.
     indptr = np.concatenate([[0], np.cumsum(np.bincount(local, minlength=size))])
@@ -293,35 +287,54 @@ def _tree_sums(forest: Forest, ds: Dataset) -> np.ndarray:
 
 
 def _available_bytes() -> int | None:
-    """Memory this process can still allocate: MemAvailable, capped by a
-    cgroup memory limit less its usage; None when neither can be read."""
-    found = []
+    """Memory this process can still allocate: MemAvailable, capped by the
+    memory limit less the usage of the process's own cgroup and of each of
+    its ancestors.  /proc/self/cgroup names the cgroup: its `0::` line for
+    cgroup v2, its line listing `memory` for v1.  None when nothing can be
+    read."""
+    found, cgroups = [], []
     try:
         with open("/proc/meminfo") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    found.append(int(line.split()[1]) * 1024)
+            found += [int(line.split()[1]) * 1024 for line in fh if line.startswith("MemAvailable:")]
     except (OSError, ValueError):
         pass
-    for limit, usage in (
-        ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current"),
-        ("/sys/fs/cgroup/memory/memory.limit_in_bytes",
-         "/sys/fs/cgroup/memory/memory.usage_in_bytes"),
-    ):
-        try:
-            with open(limit) as lim, open(usage) as use:
-                found.append(int(lim.read()) - int(use.read()))
-        except (OSError, ValueError):  # absent, or "max" (no limit)
-            pass
+    try:
+        with open("/proc/self/cgroup") as fh:
+            cgroups = [line.rstrip("\n").split(":", 2) for line in fh if line.count(":") >= 2]
+    except OSError:
+        pass
+    for _, controllers, path in cgroups:
+        if controllers == "":
+            root, limit, usage = "/sys/fs/cgroup", "memory.max", "memory.current"
+        elif "memory" in controllers.split(","):
+            root, limit, usage = "/sys/fs/cgroup/memory", "memory.limit_in_bytes", "memory.usage_in_bytes"
+        else:
+            continue
+        parts = [part for part in path.split("/") if part]
+        for k in range(len(parts) + 1):
+            at = "/".join([root, *parts[:k]])
+            try:
+                with open(f"{at}/{limit}") as lim, open(f"{at}/{usage}") as use:
+                    found.append(int(lim.read()) - int(use.read()))
+            except (OSError, ValueError):  # absent, or "max" (no limit)
+                pass
     return min(found) if found else None
+
+
+def _reserve(need: int, what: str) -> None:
+    """Raise FitError naming both byte counts unless `need` bytes, which
+    `what` needs, fit in the memory available to the process."""
+    available = _available_bytes()
+    if available is not None and need > available:
+        raise FitError(f"{what} needs about {need} bytes, but {available} bytes are available")
 
 
 def tree_depth_sums(forest: Forest, t: int, ds: Dataset) -> np.ndarray:
     """Raw pair separation-depth sums for tree t (square array).
 
-    `ds` must already be schema-compatible; rows are traversed as given
-    (no deduplication), each with initial weight 1.  Raises ValueError
-    when t is not in range(n_trees).
+    `ds` is remapped to the forest's schema first (`remap_dataset`); its
+    rows take the weighted path as given (no deduplication), each with
+    initial weight 1.  Raises ValueError when t is not in range(n_trees).
     """
     n_trees = len(forest.flat.roots) - 1
     if not 0 <= t < n_trees:
@@ -337,12 +350,8 @@ def separation_matrix(forest: Forest, ds: Dataset, threads: int = 1) -> Condense
 
     Exact duplicates are collapsed before traversal and expanded back with
     intra-duplicate distance 0.  Raises FitError when the accumulators and
-    the result would not fit in the memory available to the process.  The
-    estimate counts 14 or 20 bytes per n x n cell (byte or int32 cells),
-    18 or 24 with an int64 accumulator.  A weighted tree's sparse M, one
-    entry per row and node it reaches, is only known once the tree is
-    routed: `_add_weighted` checks each tree's M against the memory then
-    available and raises FitError the same way.
+    the result would not fit in the memory available to the process, and
+    when a weighted tree's sparse M would not (see `_add_weighted`).
 
     `threads` is accepted and ignored, for backward compatibility: trees
     are summed one after another into one set of accumulators, since
@@ -357,19 +366,20 @@ def separation_matrix(forest: Forest, ds: Dataset, threads: int = 1) -> Condense
     if rep_ds.n_rows < 2:
         return CondensedMatrix(n)  # all rows identical
     r = rep_ds.n_rows
-    # Bytes per n x n cell: the integer accumulator, and the scratch and a
-    # tree's `_pair_rows` at the forest's cell width, and the float64
-    # accumulator.  `_pair_rows`'s runs, at most r log2 r + r of about 60
-    # bytes, are gone before the condensed result is made.
+    # The estimate, per r x r cell: the integer accumulator, and the scratch
+    # and a tree's `_pair_rows` at the forest's cell width; and 8 bytes per
+    # result cell.  Only a single-variable forest over rows with a missing
+    # cell or a categorical column can send a tree down the weighted path:
+    # then add the float64 accumulator and one block of the sparse product.
+    # `_pair_rows`'s runs (at most r log2 r + r, about 60 bytes each) are
+    # gone before the result is made.
     flat = forest.flat
-    cell = np.dtype(_sum_type(flat)).itemsize + 2 * np.dtype(_cell_type(flat)).itemsize + 8
-    need = cell * r * r + BLOCK_CELL_BYTES * _block_rows(r) * r + 8 * (n * (n - 1) // 2)
-    available = _available_bytes()
-    if available is not None and need > available:
-        raise FitError(
-            f"a distance matrix over {n} rows needs about {need} bytes, "
-            f"but {available} bytes are available"
-        )
+    cell = np.dtype(_sum_type(flat)).itemsize + 2 * np.dtype(_cell_type(flat)).itemsize
+    need = cell * r * r + 8 * (n * (n - 1) // 2)
+    if forest.params.model_kind == "single" and any(
+            c.kind == "categorical" or c.missing.any() for c in rep_ds.columns):
+        need += 8 * r * r + BLOCK_CELL_BYTES * _block_rows(r) * r
+    _reserve(need, f"a distance matrix over {n} rows")
     avg = _tree_sums(forest, rep_ds)
     avg /= len(flat.roots) - 1
     rep = CondensedMatrix(r, depth_math._separation_distance(avg))

@@ -43,11 +43,11 @@ with stored imputations, and the one both-branch step the fit takes too
 place, and the drop of copies below the weight floor).  It hands the
 triples over in node order, tree by tree and pre-order within a tree.
 
-The model file is the FlatForest's stored arrays (STORED) in an .npz
-archive with a JSON header; `load_model` validates them with whole-array
-checks, `_shape`'s check that the nodes form trees among them, and derives
-the rest as fitting does, among it the padded hyperplane term table that
-scoring reads in place of the stored CSR terms.
+The model file is the FlatForest's stored arrays (STORED) and a JSON
+header in an .npz archive; `load_model` checks each entry by its .npy
+header and each header field by its JSON type, then the arrays by
+whole-array checks and `_shape`'s tree check, and derives the rest as
+fitting does, among it the padded hyperplane table that scoring reads.
 
 The node dataclasses (`Terminal`, `NumericSplit`, `CategoricalSplit`,
 `HyperplaneSplit`) are only a read-only view, `Forest.trees`, that builds
@@ -940,12 +940,11 @@ def remap_dataset(forest: Forest, ds: Dataset) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: the FlatForest arrays in an uncompressed .npz archive, with
-# a JSON header (format_version, params, n_sub, schema) as a uint8 entry.
+# Serialization: the FlatForest arrays and a JSON header in an uncompressed .npz.
 
 # The file's array entries and their (dtype, ndim): the FlatForest fields
 # that `_shape` and `_finish` do not derive, and each node's threshold (0
-# at a terminal), in the order written.
+# at a terminal), in the order written; ENTRIES adds the JSON header's bytes.
 STORED = {
     "roots": (np.int64, 1), "kind": (np.int8, 1), "var": (np.int32, 1),
     "threshold": (np.float64, 1), "left_fraction": (np.float64, 1), "size": (np.float64, 1),
@@ -955,6 +954,13 @@ STORED = {
     "cat_ptr": (np.int32, 1), "cat_var": (np.int32, 1), "cat_coef": (np.float64, 2),
     "cat_impute": (np.float64, 1),
 }
+ENTRIES = {"header": (np.uint8, 1), **STORED}
+
+# The JSON header's fields and the types each may hold (see `_fields`).
+HEADER = {"format_version": (int,), "params": (dict,), "n_sub": (int,), "schema": (list,)}
+PARAMS = {"n_trees": (int,), "subsample": (int, type(None)), "ndim": (int,),
+          "max_depth": (int, type(None)), "seed": (int,), "model_kind": (str,)}
+COLUMN = {"name": (str,), "kind": (str,), "labels": (list, type(None))}
 
 # Node kinds each model kind may contain.
 ALLOWED_KINDS = {"single": (TERMINAL, NUMERIC, CATEGORICAL), "extended": (TERMINAL, HYPERPLANE)}
@@ -980,24 +986,38 @@ def _check(ok, problem: str) -> None:
         raise ModelFormatError(problem)
 
 
+def _fields(doc, types: dict, what: str) -> dict:
+    """`doc`, checked to hold exactly the fields of `types`, each of a type listed (true is no int)."""
+    _check(type(doc) is dict and doc.keys() == types.keys(),
+           f"malformed model file: {what} does not hold exactly the fields {', '.join(types)}")
+    for key, value in doc.items():
+        _check(type(value) in types[key], f"malformed model file: {what} {key!r} is a {type(value).__name__}")
+    return doc
+
+
 def _read_entries(fh) -> dict:
     """The arrays of the .npz archive open in `fh`, by entry name.  Each
-    member's declared shape is checked against its stored size before it
-    is read, so a corrupted shape cannot request a huge allocation, and
-    each is read to its end, which checks its CRC."""
+    member's .npy header is checked before its data is read: its declared
+    size against its stored size (no huge allocation), then its name, dtype
+    and dimensions against ENTRIES.  Reading to its end checks its CRC."""
     entries = {}
     with zipfile.ZipFile(fh) as zf:
         for info in zf.infolist():
             _check(info.compress_type == zipfile.ZIP_STORED, f"entry {info.filename!r} is compressed")
+            name = info.filename.removesuffix(".npy")
             with zf.open(info) as member:
                 shape, _, dtype = _NPY_HEADERS[np.lib.format.read_magic(member)](member)
                 _check(not dtype.hasobject, f"entry {info.filename!r} holds pickled objects")
                 _check(math.prod(shape) * dtype.itemsize <= info.file_size,
                        f"entry {info.filename!r} declares more data than it holds")
-                member.seek(0)
-                entries[info.filename.removesuffix(".npy")] = np.lib.format.read_array(
-                    member, allow_pickle=False)
-                _check(not member.read(), f"entry {info.filename!r} holds more data than it declares")
+                _check(name in ENTRIES, f"entry {info.filename!r} is unknown")
+                if (dtype, len(shape)) == ENTRIES[name]:  # else refused below, as not read
+                    member.seek(0)
+                    entries[name] = np.lib.format.read_array(member, allow_pickle=False)
+                    _check(not member.read(), f"entry {info.filename!r} holds more data than it declares")
+    for name, (dtype, ndim) in ENTRIES.items():
+        if name not in entries:
+            raise ModelFormatError(f"entry {name!r} is missing or not a {ndim}-d {np.dtype(dtype)} array")
     return entries
 
 
@@ -1015,9 +1035,6 @@ def _validate(a: dict, model_kind: str, n_labels, n_trees: int, n_sub: int):
     """`_shape(a["kind"])`; raise ModelFormatError unless the arrays `a` hold
     `n_trees` trees of a `model_kind` model over columns with `n_labels`
     labels each (-1 for a numeric column), fitted on subsamples of `n_sub` rows."""
-    for name, (dtype, ndim) in STORED.items():
-        _check(name in a and a[name].dtype == dtype and a[name].ndim == ndim,
-               f"entry {name!r} is missing or not a {ndim}-d {np.dtype(dtype)} array")
     kind, roots = a["kind"], a["roots"]
     n = len(kind)
     _check(all(len(a[k]) == n for k in ("var", "threshold", "left_fraction", "size")),
@@ -1091,40 +1108,23 @@ def load_model(path) -> Forest:
     ModelFormatError naming `path`."""
     with open(path, "rb") as fh:
         try:
-            old = re.match(rb'\s*\{\s*"format_version"\s*:\s*(-?\d+)', fh.read(64))
-            if old:
-                raise ModelFormatError(
-                    f"model format version {int(old[1])} is not supported (this version "
-                    f"reads version {FORMAT_VERSION}); refit the model")
+            if old := re.match(rb'\s*\{\s*"format_version"\s*:\s*(-?\d+)', fh.read(64)):
+                raise ModelFormatError(f"model format version {old[1].decode()} is not supported "
+                                       f"(this version reads version {FORMAT_VERSION}); refit the model")
             fh.seek(0)
             a = _read_entries(fh)
-            header = a.get("header")
-            _check(header is not None and header.dtype == np.uint8 and header.ndim == 1,
-                   "entry 'header' is missing or not a byte string")
-            doc = json.loads(header.tobytes())
+            doc = json.loads(a.pop("header").tobytes())
             version = doc.get("format_version") if isinstance(doc, dict) else None
             _check(version == FORMAT_VERSION, f"unsupported model format version {version}")
-            p = doc["params"]
-            params = ForestParams(
-                n_trees=int(p["n_trees"]),
-                subsample=None if p["subsample"] is None else int(p["subsample"]),
-                ndim=int(p["ndim"]),
-                max_depth=None if p["max_depth"] is None else int(p["max_depth"]),
-                seed=int(p["seed"]),
-                model_kind=p["model_kind"],
-            )
-            n_sub = int(doc["n_sub"])
+            _fields(doc, HEADER, "header")
+            params = ForestParams(**_fields(doc["params"], PARAMS, "params"))
+            n_sub, schema = doc["n_sub"], doc["schema"]
             _check(n_sub >= 2 and (params.subsample is None or n_sub <= params.subsample),
                    f"subsample size {n_sub} is below 2 or above the subsample parameter")
-            schema = doc["schema"]
-            for spec in schema:
-                if spec["kind"] == "categorical":
-                    labels = spec["labels"]
-                    ok = isinstance(labels, list) and all(type(x) is str for x in labels)
-                else:
-                    ok = spec["kind"] == "numeric"
-                if not (ok and type(spec["name"]) is str):
-                    raise ModelFormatError(f"malformed schema column {spec!r}")
+            for i, spec in enumerate(schema):
+                labels = _fields(spec, COLUMN, f"schema column {i}")["labels"]
+                _check(spec["kind"] == ("numeric" if labels is None else "categorical")
+                       and all(type(x) is str for x in labels or ()), f"malformed schema column {spec!r}")
             shape = _validate(a, params.model_kind, _label_counts(schema), params.n_trees, n_sub)
         except ModelFormatError as exc:
             raise ModelFormatError(f"{path}: {exc}") from exc
@@ -1136,5 +1136,4 @@ def load_model(path) -> Forest:
         except (zipfile.BadZipFile, EOFError, OSError, RuntimeError, KeyError, TypeError,
                 ValueError, OverflowError) as exc:
             raise ModelFormatError(f"{path}: malformed model file: {exc}") from exc
-    flat = _finish(*shape, **{name: a[name] for name in STORED})
-    return Forest(params=params, schema=schema, flat=flat, n_sub=n_sub)
+    return Forest(params=params, schema=schema, flat=_finish(*shape, **a), n_sub=n_sub)

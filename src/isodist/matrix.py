@@ -24,6 +24,15 @@ def _cell(n, i, j):
     return n * i - i * (i + 1) // 2 + (j - i - 1)
 
 
+def _is_number(text: str) -> bool:
+    """Whether `float` reads `text`."""
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 class CondensedMatrix:
     def __init__(self, n: int, values: np.ndarray | None = None):
         if n < 2:
@@ -135,7 +144,8 @@ class CondensedMatrix:
         row's length, and each of the n rows that follow has n cells.  Rows
         are read one at a time, and only the cells beyond the diagonal are
         parsed, straight into the condensed array.  A missing, extra,
-        short or long row raises ValueError naming it."""
+        short or long row raises ValueError naming it, and a cell that is
+        not a number one naming its row and column."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             n = len(next(reader, []))
@@ -147,7 +157,12 @@ class CondensedMatrix:
                 if len(row) != n:
                     raise ValueError(f"{path}: row {i + 1} has {len(row)} cells, not {n}")
                 at = _cell(n, i, i + 1)
-                out.values[at : at + n - 1 - i] = [float(c) for c in row[i + 1 :]]
+                try:
+                    out.values[at : at + n - 1 - i] = [float(c) for c in row[i + 1 :]]
+                except ValueError:
+                    j = next(j for j in range(i + 1, n) if not _is_number(row[j]))
+                    raise ValueError(f"{path}: row {i + 1}, column {j + 1}: {row[j]!r} is not "
+                                     "a number") from None
         if i + 1 < n:
             raise ValueError(f"{path}: {i + 1} rows, but the header names {n}")
         return out

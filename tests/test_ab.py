@@ -4,6 +4,7 @@ report and failed-run message without git."""
 import importlib.util
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -49,6 +50,12 @@ def test_head_against_head_reports_every_metric(tmp_path):
         assert name in proc.stdout.split("\n", 1)[1]
     # The same code, the same seed: the same memory to within a few MB.
     assert 0.9 < rows["peak_rss_mb"]["ratio"] < 1.1
+    # Every run was seen on at least one vCPU, and each pair's are printed.
+    for side in ("base", "new"):
+        runs = report["vcpus"]["pairwise-numeric"][side]
+        assert len(runs) == 1 and runs[0], side
+        assert all(cpu in range(os.cpu_count()) for cpu in runs[0]), side
+    assert "vCPUs by pair, base/new: 1: " in proc.stdout
     # The worktrees are gone, from the disk and from git.
     assert not any(work.iterdir())
     listed = subprocess.run(["git", "-C", str(ROOT), "worktree", "list"], capture_output=True,
@@ -114,9 +121,27 @@ def test_compare_shows_a_gain_only_past_nine_of_ten_wins_and_the_base_spread():
     assert ab.compare(base, [x - 0.2 for x in base], "higher")["gain"] is False
 
 
+class Silent:
+    """In place of `subprocess.Popen`: a child that exits at once with code
+    0, having printed nothing."""
+
+    pid, returncode = -1, 0
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def communicate(self, timeout=None):
+        return "", ""
+
+
 def test_a_run_without_output_stops_with_a_message(monkeypatch, tmp_path):
     ab = load_ab()
-    empty = subprocess.CompletedProcess([], 0, stdout="", stderr="")
-    monkeypatch.setattr(ab.subprocess, "run", lambda *a, **k: empty)
+    monkeypatch.setattr(ab.subprocess, "Popen", Silent)
     with pytest.raises(SystemExit, match="printed no result"):
         ab.run_once(tmp_path, "pairwise-numeric", 1, 1.0, 0)

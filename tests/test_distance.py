@@ -1,3 +1,4 @@
+import io
 import sys
 import threading
 import tracemalloc
@@ -69,6 +70,14 @@ def weighted_case(kind):
 def cloud():
     rng = np.random.default_rng(100)
     return numeric_dataset([rng.standard_normal(120), rng.standard_normal(120)])
+
+
+def with_missing_cells(ds):
+    """`ds` with its first column missing in every tenth row: no two rows
+    become duplicates."""
+    cols = [c.values for c in ds.columns]
+    missing = [np.arange(ds.n_rows) % 10 == 0] + [c.missing for c in ds.columns[1:]]
+    return numeric_dataset(cols, missing)
 
 
 @pytest.fixture(scope="module")
@@ -280,22 +289,101 @@ def test_memory_guard_refuses_before_allocating(monkeypatch, cloud, cloud_forest
 
     monkeypatch.setattr(distance, "_available_bytes", lambda: 1000)
     monkeypatch.setattr(distance, "_tree_sums", accumulate)
-    # 14 bytes x 120^2 cells (the forest's depths fit byte cells) + 20
-    # bytes x 120^2 cells of one block of the sparse product (all 120 rows)
-    # + 8 bytes x 7140 condensed cells, whatever `threads` says.
+    # Complete numeric rows take no weighted tree: 4 + 1 + 1 = 6 bytes x
+    # 120^2 cells (the forest's depths fit byte cells) + 8 bytes x 7140
+    # condensed cells, whatever `threads` says.
     assert distance._cell_type(cloud_forest.flat) is np.uint8
-    with pytest.raises(FitError, match="needs about 546720 bytes, but 1000 bytes"):
+    with pytest.raises(FitError, match="needs about 143520 bytes, but 1000 bytes"):
         separation_matrix(cloud_forest, cloud, threads=2)
+    # With missing cells a tree can take the weighted path: + 8 bytes x
+    # 120^2 for the float64 accumulator + 20 bytes x 120^2 cells of one
+    # block of the sparse product (all 120 rows).
+    with pytest.raises(FitError, match="needs about 546720 bytes, but 1000 bytes"):
+        separation_matrix(cloud_forest, with_missing_cells(cloud))
 
 
 def test_memory_guard_counts_int64_sums(monkeypatch, cloud, cloud_forest):
     monkeypatch.setattr(distance, "_available_bytes", lambda: 1000)
-    # With the cap at 10 the integer sums need int64 cells: 8 + 1 + 1 + 8 =
-    # 18 bytes x 120^2 cells, + 20 x 120^2 for the block + 8 x 7140.
+    # With the cap at 10 the integer sums need int64 cells: 8 + 1 + 1 = 10
+    # bytes x 120^2 cells, + 8 x 7140.
     monkeypatch.setattr(distance, "INT32_MAX", 10)
     assert distance._sum_type(cloud_forest.flat) is np.int64
-    with pytest.raises(FitError, match="needs about 604320 bytes, but 1000 bytes"):
+    with pytest.raises(FitError, match="needs about 201120 bytes, but 1000 bytes"):
         separation_matrix(cloud_forest, cloud)
+
+
+def test_memory_guard_counts_the_weighted_path_only_where_a_tree_can_take_it(
+        monkeypatch, cloud):
+    # 300,000 bytes lie between the estimates with and without the float64
+    # accumulator and the sparse block, 546,720 and 143,520 (see above).
+    ds = with_missing_cells(cloud)
+    monkeypatch.setattr(distance, "_available_bytes", lambda: 300_000)
+    # A hyperplane places every row, missing cells too.
+    extended = fit_forest(ds, ForestParams(n_trees=10, seed=9, model_kind="extended", ndim=2))
+    single = fit_forest(ds, ForestParams(n_trees=10, seed=9))
+    for forest in (extended, single):
+        assert distance._cell_type(forest.flat) is np.uint8
+        assert distance._sum_type(forest.flat) is np.int32
+    assert separation_matrix(extended, ds).values.size == 120 * 119 // 2
+    with pytest.raises(FitError, match="needs about 546720 bytes, but 300000 bytes"):
+        separation_matrix(single, ds)
+
+
+MEMINFO = "MemTotal:       16000000 kB\nMemAvailable:    8000000 kB\n"
+V1_UNLIMITED = "9223372036854771712\n"
+
+# name: (the files, path: text, and what `_available_bytes` reads from them)
+CGROUP_FILES = {
+    # The scope sets no limit; its parent's is 3 GB, 1 GB of it in use.
+    "nested v2 limit": ({
+        "/proc/meminfo": MEMINFO,
+        "/proc/self/cgroup": "0::/jobs.slice/run.scope\n",
+        "/sys/fs/cgroup/memory.current": "9000000000\n",
+        "/sys/fs/cgroup/jobs.slice/memory.max": "3000000000\n",
+        "/sys/fs/cgroup/jobs.slice/memory.current": "1000000000\n",
+        "/sys/fs/cgroup/jobs.slice/run.scope/memory.max": "max\n",
+        "/sys/fs/cgroup/jobs.slice/run.scope/memory.current": "500\n",
+    }, 2_000_000_000),
+    # A v1 memory cgroup two levels below the mount; the mount root is
+    # unlimited, as it is on a host.
+    "nested v1 limit": ({
+        "/proc/meminfo": MEMINFO,
+        "/proc/self/cgroup": "9:name=systemd:/\n4:cpu,memory:/api/abc\n1:cpu:/\n0::/\n",
+        "/sys/fs/cgroup/memory/memory.limit_in_bytes": V1_UNLIMITED,
+        "/sys/fs/cgroup/memory/memory.usage_in_bytes": "7000000000\n",
+        "/sys/fs/cgroup/memory/api/memory.limit_in_bytes": V1_UNLIMITED,
+        "/sys/fs/cgroup/memory/api/memory.usage_in_bytes": "600000000\n",
+        "/sys/fs/cgroup/memory/api/abc/memory.limit_in_bytes": "1500000000\n",
+        "/sys/fs/cgroup/memory/api/abc/memory.usage_in_bytes": "500000000\n",
+    }, 1_000_000_000),
+    "no limit": ({
+        "/proc/meminfo": MEMINFO,
+        "/proc/self/cgroup": "4:memory:/api\n0::/a\n",
+        "/sys/fs/cgroup/a/memory.max": "max\n",
+        "/sys/fs/cgroup/a/memory.current": "100\n",
+        "/sys/fs/cgroup/memory/api/memory.limit_in_bytes": V1_UNLIMITED,
+        "/sys/fs/cgroup/memory/api/memory.usage_in_bytes": "100\n",
+    }, 8_192_000_000),
+    "cgroup limit alone": ({
+        "/proc/self/cgroup": "0::/\n",
+        "/sys/fs/cgroup/memory.max": "4096\n",
+        "/sys/fs/cgroup/memory.current": "1024\n",
+    }, 3072),
+    "nothing readable": ({}, None),
+}
+
+
+@pytest.mark.parametrize("case", list(CGROUP_FILES))
+def test_available_bytes_reads_the_process_cgroup_and_its_ancestors(monkeypatch, case):
+    files, expected = CGROUP_FILES[case]
+
+    def fake_open(path, *args, **kwargs):
+        if path not in files:
+            raise FileNotFoundError(path)
+        return io.StringIO(files[path])
+
+    monkeypatch.setattr(distance, "open", fake_open, raising=False)
+    assert distance._available_bytes() == expected
 
 
 def geometric_column(n):

@@ -764,15 +764,36 @@ MUTATIONS = {
     "no trees": ("single", lambda a, h: h["params"].update(n_trees=0), "at least one tree"),
     "unknown model kind": (
         "single", lambda a, h: h["params"].update(model_kind="foo"), "unknown model kind"),
+    # Header fields of another JSON type, or missing, or unknown: none is
+    # converted, and none takes a default.
+    "tree count a string": (
+        "single", lambda a, h: h["params"].update(n_trees="3"), "params 'n_trees' is a str"),
+    "seed a float": ("single", lambda a, h: h["params"].update(seed=1.9), "params 'seed' is a float"),
+    "ndim a bool": ("single", lambda a, h: h["params"].update(ndim=True), "params 'ndim' is a bool"),
+    "max_depth a float": (
+        "single", lambda a, h: h["params"].update(max_depth=2.5), "params 'max_depth' is a float"),
+    "unknown params field": (
+        "single", lambda a, h: h["params"].update(trees=3),
+        "params does not hold exactly the fields n_trees, subsample, ndim, max_depth, seed"),
+    "seed missing": (
+        "single", lambda a, h: h["params"].pop("seed"), "params does not hold exactly the fields"),
+    "n_sub a string": ("single", lambda a, h: h.update(n_sub="50"), "header 'n_sub' is a str"),
+    "unknown header field": (
+        "single", lambda a, h: h.update(trees=[]), "header does not hold exactly the fields"),
+    "unknown entry": ("single", lambda a, h: a.update(extra=np.zeros(1)), "entry 'extra.npy' is unknown"),
     # Columns no split uses: remap_dataset reads them all.
     "unknown column kind": (
-        "single", lambda a, h: h["schema"].append({"name": "z", "kind": "text"}),
+        "single", lambda a, h: h["schema"].append({"name": "z", "kind": "text", "labels": None}),
         "malformed schema column"),
     "column without a name": (
         "single", lambda a, h: h["schema"][0].pop("name"), "malformed model file"),
     "categorical labels not a list": (
         "single", lambda a, h: h["schema"].append({"name": "z", "kind": "categorical", "labels": 5}),
-        "malformed schema column"),
+        "schema column 2 'labels' is a int"),
+    "labels on a numeric column": (
+        "single", lambda a, h: h["schema"][0].update(labels=[1, 2]), "malformed schema column"),
+    "categorical label not a string": (
+        "single", lambda a, h: h["schema"][1]["labels"].__setitem__(0, 1), "malformed schema column"),
 }
 
 

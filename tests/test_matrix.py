@@ -77,6 +77,13 @@ def test_csv_read_refuses_malformed_rows(tmp_path, damage, match):
         CondensedMatrix.read_csv(path)
 
 
+def test_csv_read_names_the_cell_that_is_not_a_number(tmp_path):
+    path = tmp_path / "dist.csv"
+    path.write_text("a,b,c\n0.0,0.5,0.25\n0.5,0.0,x\n0.25,x,0.0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: row 2, column 3: 'x' is not a number")):
+        CondensedMatrix.read_csv(path)
+
+
 def test_csv_read_refuses_a_truncated_file(tmp_path):
     path = tmp_path / "dist.csv"
     random_matrix(6, seed=2).write_csv(path)

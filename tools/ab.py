@@ -23,9 +23,11 @@ marked "gain" when NEW is better in at least 9 of 10 pairs and its
 median is better than BASE's by more than BASE's interquartile range,
 the rule a claimed gain must meet.  It also prints
 the lines added and removed under src/ and tests/ from BASE to NEW, as
-+added/-removed (net), from `git diff --numstat`.  The last line is the
-same report as one JSON object, with every run's value.  The
-worktrees are removed at the end.
++added/-removed (net), from `git diff --numstat`, and, per workload, the
+vCPUs each pair's two runs were seen on: every 0.2 s while a run lasts,
+its process's vCPU is read from field 39 of /proc/<pid>/stat.  The last
+line is the same report as one JSON object, with every run's value and
+vCPU samples.  The worktrees are removed at the end.
 Run it from anywhere inside the repository.
 """
 
@@ -94,26 +96,52 @@ def compare(base: list[float], new: list[float], better: str, bound: float | Non
             "beyond_bound": worse, "unresolved": unresolved, "runs": {"base": base, "new": new}}
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The metrics of one `perfbench/run.py` run in `tree`; SystemExit
-    with a message on a failed run."""
+def vcpu(pid: int) -> list[int]:
+    """[the vCPU process `pid` last ran on], field 39 of /proc/<pid>/stat
+    (fields counted from 1, the command name in parentheses); [] where it
+    cannot be read."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return [int(fh.read().rsplit(")", 1)[1].split()[39 - 3])]
+    except (OSError, IndexError, ValueError):
+        return []
+
+
+def distinct(cpus: list[int]) -> str:
+    """The distinct vCPUs among `cpus`, ascending, as "0,1"; "?" for none."""
+    return ",".join(map(str, sorted(set(cpus)))) or "?"
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             trace: int) -> tuple[dict, list[int]]:
+    """The metrics of one `perfbench/run.py` run in `tree`, and the vCPUs
+    it was seen on, sampled every 0.2 s; SystemExit with a message on a
+    failed run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    cpus, stdout = [], None
+    with subprocess.Popen(cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        while stdout is None:
+            cpus += vcpu(proc.pid)
+            try:
+                stdout, stderr = proc.communicate(timeout=0.2)
+            except subprocess.TimeoutExpired:
+                pass
     where = f"{tree.name} {workload} seed {seed}"
     if proc.returncode != 0:
-        sys.stderr.write(proc.stdout + proc.stderr)
+        sys.stderr.write(stdout + stderr)
         raise SystemExit(f"ab: {where}: exit code {proc.returncode}")
-    lines = proc.stdout.strip().splitlines()
+    lines = stdout.strip().splitlines()
     if not lines:
-        sys.stderr.write(proc.stderr)
+        sys.stderr.write(stderr)
         raise SystemExit(f"ab: {where}: the run printed no result")
     result = json.loads(lines[-1])
     if not result["correct"] or result["failed"]:
-        sys.stderr.write(proc.stdout + proc.stderr)
+        sys.stderr.write(stdout + stderr)
         raise SystemExit(f"ab: {where}: correct={result['correct']}, "
                          f"{result['failed']} of {result['attempted']} ops failed")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return {name: m["value"] for name, m in result["metrics"].items()}, cpus
 
 
 def main(argv=None) -> int:
@@ -145,14 +173,16 @@ def main(argv=None) -> int:
                 git("worktree", "remove", "--force", str(tree))
             git("worktree", "add", "--force", "--detach", str(tree), revs[side])
         metrics = {w: {"base": {}, "new": {}} for w in workloads}
+        vcpus = {w: {"base": [], "new": []} for w in workloads}  # per run, its samples
         for i in range(args.pairs):
             seed = args.first_seed + i
             order = ("base", "new") if i % 2 == 0 else ("new", "base")
             for w in workloads:
                 for side in order:
-                    got = run_once(trees[side], w, seed, args.seconds, args.trace)
+                    got, cpus = run_once(trees[side], w, seed, args.seconds, args.trace)
                     for name, value in got.items():
                         metrics[w][side].setdefault(name, []).append(value)
+                    vcpus[w][side].append(cpus)
                 print(f"pair {i + 1}/{args.pairs} seed {seed} {w} done", file=sys.stderr)
     finally:
         for tree in trees.values():
@@ -162,7 +192,7 @@ def main(argv=None) -> int:
 
     report = {"base": revs["base"], "new": revs["new"], "pairs": args.pairs,
               "seconds": args.seconds, "lines": line_counts(revs["base"], revs["new"]),
-              "workloads": {}}
+              "workloads": {}, "vcpus": vcpus}
     for w, sides in metrics.items():
         report["workloads"][w] = {
             name: compare(sides["base"][name], sides["new"][name], better.get(name, "lower"),
@@ -175,6 +205,9 @@ def main(argv=None) -> int:
                                for path, c in report["lines"].items()))
     for w, rows in report["workloads"].items():
         print(w)
+        pairs = enumerate(zip(vcpus[w]["base"], vcpus[w]["new"]), 1)
+        print("  vCPUs by pair, base/new: "
+              + "  ".join(f"{i}: {distinct(b)}/{distinct(n)}" for i, (b, n) in pairs))
         for name, r in rows.items():
             a, b = r["base"], r["new"]
             ratio = "n/a" if r["ratio"] is None else f"{r['ratio']:.3f}"
